@@ -33,7 +33,6 @@ from .defcomplex import (
     SELECTION_KINDS,
     bicomplex_space,
     pent_space,
-    total_differential,
     total_space,
 )
 from .examples import (
@@ -49,9 +48,7 @@ from .exactlinalg import (
     PrimeField,
     QQ,
     Vector,
-    from_columns,
     normalize_leading,
-    rank,
 )
 from .gray import GraySemigroup, validate_gray
 from .twocat import TwoCategory, validate_two_category
@@ -161,19 +158,11 @@ def run_cohomology(text: str, selection: str, degree: int | None,
     try:
         for q in degrees:
             coh = defcomplex.cohomology(G, sel, q)
-            sp_prev = total_space(G, sel, q - 1)
-            if sp_prev.dim_free and sp_prev.basis:
-                D_prev = total_differential(G, sel, q - 1)
-                rank_prev = rank(from_columns(
-                    [D_prev.mul_vector(b) for b in sp_prev.basis],
-                    D_prev.rows, K))
-            else:
-                rank_prev = 0
             results.append({
                 "degree": q,
                 "dim_space": coh["dim_space"],
-                "dim_kernel": coh["betti"] + rank_prev,
-                "rank_prev": rank_prev,
+                "dim_kernel": coh["betti"] + coh["rank_prev"],
+                "rank_prev": coh["rank_prev"],
                 "betti": coh["betti"],
                 "representatives": [
                     _encode_representative(G, sel, q,

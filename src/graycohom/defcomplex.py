@@ -657,7 +657,8 @@ def assemble_complex(G: GraySemigroup, sel: ComplexSelection):
 
 
 def cohomology(G: GraySemigroup, sel: ComplexSelection, q: int):
-    """dim H^q and representatives (free total coordinates)."""
+    """dim H^q, representatives (free total coordinates) and the rank of
+    the coboundaries in degree q."""
     if q < 1 or q > sel.qmax:
         raise CapExceeded(f"degree {q} outside 1..{sel.qmax}")
     sp_prev = total_space(G, sel, q - 1)
@@ -669,12 +670,13 @@ def cohomology(G: GraySemigroup, sel: ComplexSelection, q: int):
         im_cols = [D_prev.mul_vector(b) for b in sp_prev.basis]
     else:
         im_cols = []
-    dim, reps = _cohomology_core(G.base.field, im_cols, cocycle)
+    dim, reps, rank_prev = _cohomology_core(G.base.field, im_cols, cocycle)
     return {
         "selection": sel.kind,
         "degree": q,
         "dim_space": sp_q.dimension,
         "betti": dim,
+        "rank_prev": rank_prev,
         "representatives": reps,
         "space": sp_q,
     }

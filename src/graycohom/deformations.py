@@ -26,6 +26,7 @@ from .defcomplex import (
     total_space,
 )
 from .exactlinalg import (
+    Echelon,
     PrimeField,
     SparseMatrix,
     Vector,
@@ -1224,7 +1225,10 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
     Smat = SparseMatrix(
         1 + max((max(col) for col in cols if col), default=0), nb, K,
         {(r, j): v for j, col in enumerate(cols) for r, v in col.items()})
-    assert len(Z) == p ** (nb - rank(Smat))
+    expected = p ** (nb - rank(Smat))
+    if len(Z) != expected:
+        raise AssertionError(
+            f"{len(Z)} enumerated cocycles, expected {expected}")
 
     # spot-check the linearized accept/reject against the full equations
     for ztup in (rng.sample(Z, min(3, len(Z))) if Z else []):
@@ -1252,44 +1256,28 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
         assert not lin_residual(ctup), "gauge shift is not a solution"
         shift_vectors.append(ctup)
 
-    # row-reduce the shift span over F_p
-    pivots: list = []
-    reduced: list = []
-    for rowv in shift_vectors:
-        row = list(rowv)
-        for pc, prow in zip(pivots, reduced):
-            f = row[pc]
-            if f:
-                row = [(x - f * y) % p for x, y in zip(row, prow)]
-        nz = next((j for j, x in enumerate(row) if x), None)
-        if nz is None:
-            continue
-        inv = pow(row[nz], p - 2, p)
-        row = [(x * inv) % p for x in row]
-        for k in range(len(reduced)):
-            f = reduced[k][nz]
-            if f:
-                reduced[k] = [(x - f * y) % p
-                              for x, y in zip(reduced[k], row)]
-        pivots.append(nz)
-        reduced.append(row)
-    rank_shifts = len(reduced)
+    # a class is keyed by the normal form of its members modulo the span
+    # of the shifts, which the RREF makes unique
+    span = Echelon(K, [{j: x for j, x in enumerate(ctup) if x}
+                       for ctup in shift_vectors])
+    rank_shifts = len(span.rows)
 
     def reduce_mod_shifts(t):
-        row = list(t)
-        for pc, prow in zip(pivots, reduced):
-            f = row[pc]
-            if f:
-                row = [(x - f * y) % p for x, y in zip(row, prow)]
-        return tuple(row)
+        return frozenset(span.reduce(
+            {j: x for j, x in enumerate(t) if x}).items())
 
     classes: dict = {}
     for z in Z:   # Z is sorted, so the first member of a class is minimal
         classes.setdefault(reduce_mod_shifts(z), []).append(z)
     count = len(classes)
-    assert count * (p ** rank_shifts) == len(Z)
+    if count * (p ** rank_shifts) != len(Z):
+        raise AssertionError(
+            f"{count} classes of {p}^{rank_shifts} do not cover "
+            f"{len(Z)} cocycles")
     for members in classes.values():
-        assert len(members) == p ** rank_shifts
+        if len(members) != p ** rank_shifts:
+            raise AssertionError(
+                f"a class has {len(members)} members, not {p}^{rank_shifts}")
 
     reps = sorted(members[0] for members in classes.values())
 

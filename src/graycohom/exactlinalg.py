@@ -1,9 +1,18 @@
 """Exact scalar arithmetic and sparse linear algebra over Q and F_p.
 
 Every cohomology dimension in the package reduces to rank / kernel
-computations done here.  Scalars are plain ``Fraction`` (rationals) or
-``int`` residues in {0, ..., p-1}; which one is meant is decided by the
-``Field`` object carried alongside.  There is no floating point anywhere.
+computations done here.  Scalars are ``int`` residues in {0, ..., p-1}
+over F_p; over Q they are ``int`` when integral and ``Fraction``
+otherwise.  Which field is meant is decided by the ``Field`` object
+carried alongside.  There is no floating point anywhere.
+
+All elimination is one kernel, ``Echelon``: it takes rows sparsest first
+(fewest nonzeros, ties by row index), which keeps fill-in low, and keeps
+its pivot rows fully reduced.  The reduced row echelon form of a matrix
+depends only on the span of its rows, so the row order changes the time,
+never the result: the rank, the ``kernel_basis`` vectors and the
+``solve_in_image`` solution (zero in every free column) are the same for
+every order.
 """
 
 from __future__ import annotations
@@ -249,12 +258,6 @@ class SparseMatrix:
     def is_zero(self):
         return not self.entries
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.cols, self.rows, self.field,
-            {(j, i): v for (i, j), v in self.entries.items()},
-        )
-
 
 def _modulus(K: Field):
     """p for F_p, None for Q: the two forms of the inner loops below."""
@@ -265,95 +268,121 @@ def _modulus(K: Field):
     raise TypeError(f"unsupported field {K!r}")
 
 
-def _row_sub(row: dict, factor, prow: dict, p):
-    """row -= factor * prow in place, dropping entries that become zero;
-    ints mod p over F_p (p given), int/Fraction over Q (p None)."""
-    get, pop = row.get, row.pop
+def _sub(row: dict, f, prow: dict, p):
+    """row -= f * prow in place, dropping entries that become zero; ints
+    mod p over F_p (p given), int/Fraction over Q (p None), where an
+    integral result is stored as int."""
+    get = row.get
     if p is None:
-        for cc, v in prow.items():
-            w = get(cc, 0) - factor * v
-            if w:
-                row[cc] = w
+        for j, v in prow.items():
+            w = get(j, 0) - f * v
+            if not w:
+                del row[j]
+            elif w.__class__ is Fraction and w.denominator == 1:
+                row[j] = w.numerator
             else:
-                pop(cc, None)
+                row[j] = w
     else:
-        for cc, v in prow.items():
-            w = (get(cc, 0) - factor * v) % p
+        for j, v in prow.items():
+            w = (get(j, 0) - f * v) % p
             if w:
-                row[cc] = w
+                row[j] = w
             else:
-                pop(cc, None)
+                del row[j]
 
 
-def _eliminate(M: SparseMatrix, rhs: Vector | None = None):
-    """Gaussian elimination on a copy of M's rows (augmented with rhs if
-    given).
+class Echelon:
+    """The reduced row echelon form of the span of the rows added so far.
 
-    Returns (pivot columns, reduced rows, reduced rhs).  Deterministic:
-    rows are processed in order, pivots are the first nonzero column.
-    Rows never hold explicit zeros, so the first nonzero column is the
-    smallest key.  Without rhs, once every column has a pivot the rows
-    left over would all reduce to zero; they are returned unreduced.
+    A row is a dict col -> nonzero scalar.  ``rows[c]`` is the pivot row
+    whose leading entry, scaled to 1, is in column c; it is stored without
+    that entry and is zero in every other pivot column.  ``_where[j]``
+    holds (at least) the pivots whose row is nonzero in column j, so a new
+    pivot column is cleared from only the rows that need it.
     """
-    K = M.field
-    p = _modulus(K)
-    rows = [{c: v for c, v in r.items() if v} for r in M.row_lists()]
-    b = [rhs.entries.get(i, 0) for i in range(M.rows)] if rhs is not None else None
 
-    pivots: dict = {}  # col -> row index in `rows`
-    for r, row in enumerate(rows):
-        if b is None and len(pivots) == M.cols:
-            break
-        # reduce against existing pivots
-        while row:
-            c = min(row)
-            pr = pivots.get(c)
-            if pr is None:
-                # normalize so the pivot entry is 1
-                scale = K.inv(row[c])
-                for cc, v in row.items():
-                    row[cc] = v * scale if p is None else v * scale % p
-                if b is not None:
-                    b[r] = K.mul(b[r], scale)
-                pivots[c] = r
+    def __init__(self, field_: Field, rows=(), ncols=None):
+        """Add rows (dicts, consumed) sparsest first, ties in the given
+        order, stopping once there are ncols pivots."""
+        self.field = field_
+        self._p = _modulus(field_)
+        self.rows: dict = {}
+        self._where: dict = {}
+        for row in sorted(filter(None, rows), key=len):
+            if len(self.rows) == ncols:
                 break
-            factor = row[c]
-            _row_sub(row, factor, rows[pr], p)
-            if b is not None:
-                b[r] = K.sub(b[r], K.mul(factor, b[pr]))
-    return pivots, rows, b
+            self.add(row)
+
+    def reduce(self, row: dict) -> dict:
+        """row, changed in place, minus the multiples of the pivot rows
+        that make it zero in every pivot column.  The result is the same
+        for every order in which the span was built."""
+        rows, p = self.rows, self._p
+        for c in [c for c in row if c in rows]:
+            _sub(row, row.pop(c), rows[c], p)
+        return row
+
+    def add(self, row: dict):
+        """Extend the span by row (consumed); its pivot column, or None if
+        row already lies in the span."""
+        self.reduce(row)
+        if not row:
+            return None
+        c = min(row)
+        scale = self.field.inv(row.pop(c))
+        p = self._p
+        if p is None:
+            for j, v in row.items():
+                w = v * scale
+                row[j] = (w.numerator if w.__class__ is Fraction
+                          and w.denominator == 1 else w)
+        elif scale != 1:
+            for j, v in row.items():
+                row[j] = v * scale % p
+        rows, where = self.rows, self._where
+        for j in row:
+            where.setdefault(j, set()).add(c)
+        # clear column c from the pivot rows; their new nonzeros can only
+        # be in row's columns
+        for r in where.pop(c, ()):
+            prow = rows[r]
+            f = prow.pop(c, None)
+            if f is not None:
+                _sub(prow, f, row, p)
+                for j in row:
+                    where[j].add(r)
+        rows[c] = row
+        return c
+
+
+def _rows(M: SparseMatrix, rhs: Vector | None = None) -> list:
+    """M's rows as dicts, rhs (if given) appended as column M.cols."""
+    rows = M.row_lists()
+    if rhs is not None:
+        for i, v in rhs.entries.items():
+            if v:
+                rows[i][M.cols] = v
+    return rows
 
 
 def rank(M: SparseMatrix) -> int:
     """Exact rank over M's field."""
-    pivots, _, _ = _eliminate(M)
-    return len(pivots)
+    return len(Echelon(M.field, _rows(M), M.cols).rows)
 
 
 def kernel_basis(M: SparseMatrix) -> list[Vector]:
-    """Basis of the null space; always cols - rank vectors, M v = 0 exactly."""
+    """Basis of the null space; always cols - rank vectors, M v = 0 exactly.
+
+    One vector per free column fc, in ascending order: 1 at fc and minus
+    the RREF's fc entry at each pivot column."""
     K = M.field
-    p = _modulus(K)
-    pivots, rows, _ = _eliminate(M)
-    free_cols = [c for c in range(M.cols) if c not in pivots]
-    # back-substitute each pivot row so rows are fully reduced (RREF);
-    # descending order so every row used for reduction is already clean
-    order = sorted(pivots)  # ascending pivot column
-    for c in reversed(order):
-        row = rows[pivots[c]]
-        for c2 in [cc for cc in row if cc != c and cc in pivots]:
-            factor = row.get(c2)
-            if factor is None or K.is_zero(factor):
-                continue
-            _row_sub(row, factor, rows[pivots[c2]], p)
-    # each fully reduced pivot row holds its pivot and free columns only;
-    # scatter it into the free columns' vectors, in ascending pivot order
-    basis_entries = {fc: {fc: K.one()} for fc in free_cols}
-    for c in order:
-        for cc, v in rows[pivots[c]].items():
-            if cc != c:
-                basis_entries[cc][c] = K.neg(v)
-    return [Vector(M.cols, basis_entries[fc]) for fc in free_cols]
+    pivot_rows = Echelon(K, _rows(M), M.cols).rows
+    basis = {fc: {fc: K.one()} for fc in range(M.cols)
+             if fc not in pivot_rows}
+    for c in sorted(pivot_rows):
+        for fc, v in pivot_rows[c].items():
+            basis[fc][c] = K.neg(v)
+    return [Vector(M.cols, entries) for entries in basis.values()]
 
 
 def vstack(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
@@ -386,32 +415,20 @@ def normalize_leading(field_: Field, v: Vector) -> Vector:
 
 
 def solve_in_image(M: SparseMatrix, b: Vector) -> Vector | None:
-    """Some x with M x = b exactly, or None if b is not in the image."""
+    """Some x with M x = b exactly, or None if b is not in the image.
+
+    x is read off the RREF of [M | b]: zero in the free columns, b's
+    reduced entry in each pivot column."""
     if b.length != M.rows:
         raise ValueError("dimension mismatch")
     K = M.field
     zero = K.zero()
-    pivots, rows, rb = _eliminate(M, b)
-    # rows that reduced to zero must have zero rhs
-    pivot_rows = set(pivots.values())
-    for r in range(M.rows):
-        if r not in pivot_rows and not K.is_zero(rb[r]):
-            return None
-    # back-substitution over the triangular pivot system
-    order = sorted(pivots, reverse=True)
-    x = {c: zero for c in pivots}
-    for c in order:
-        r = pivots[c]
-        acc = rb[r]
-        for cc, v in rows[r].items():
-            if cc == c:
-                continue
-            xc = x.get(cc)
-            if xc is not None and not K.is_zero(xc):
-                acc = K.sub(acc, K.mul(v, xc))
-        x[c] = acc
-    entries = {c: v for c, v in x.items() if not K.is_zero(v)}
-    sol = Vector(M.cols, entries)
+    aug = M.cols
+    pivot_rows = Echelon(K, _rows(M, b), aug + 1).rows
+    if aug in pivot_rows:
+        return None
+    sol = Vector(M.cols, {c: row[aug] for c, row in sorted(pivot_rows.items())
+                          if aug in row})
     # exactness guard: the contract is M x = b exactly
     Mx = M.mul_vector(sol)
     diff_keys = set(Mx.entries) | set(b.entries)

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exactlinalg import (
+    Echelon,
     SparseMatrix,
     Vector,
     from_columns,
     kernel_basis,
-    rank,
     solve_in_image,
     vstack,
 )
@@ -391,22 +391,25 @@ def delta_pf(F: Pseudofunctor, phi: PFCochain,
 
 
 def _cohomology_core(field_, delta_prev_cols, cocycle_matrix):
-    """dim and representatives for ker(cocycle_matrix) / span(delta_prev_cols)."""
+    """dim, representatives and rank_prev (the rank of the coboundaries)
+    for ker(cocycle_matrix) / span(delta_prev_cols).
+
+    Each kernel vector, in order, is a representative when it is not in
+    the span of the coboundaries and the representatives before it."""
     Z = kernel_basis(cocycle_matrix)
-    rows = cocycle_matrix.cols
-    im = from_columns(delta_prev_cols, rows, field_)
-    dim = len(Z) - rank(im)
+    span = Echelon(field_, [dict(v.entries) for v in delta_prev_cols])
+    rank_prev = len(span.rows)
+    dim = len(Z) - rank_prev
     reps = []
-    chosen = list(delta_prev_cols)
     for z in Z:
         if len(reps) == dim:
             break
-        M = from_columns(chosen, rows, field_)
-        if solve_in_image(M, z) is None:
+        if span.add(dict(z.entries)) is not None:
             reps.append(z)
-            chosen.append(z)
-    assert len(reps) == dim
-    return dim, reps
+    if len(reps) != dim:
+        raise AssertionError(
+            f"{len(reps)} representatives for dimension {dim}")
+    return dim, reps, rank_prev
 
 
 def pf_cohomology(F: Pseudofunctor, n: int, cap: int = DEFAULT_DEGREE_CAP):
@@ -418,7 +421,7 @@ def pf_cohomology(F: Pseudofunctor, n: int, cap: int = DEFAULT_DEGREE_CAP):
     D_prev = delta_pf_matrix(F, space_prev, space_n)
     cocycle = vstack(D_n, space_n.constraints)
     im_cols = [D_prev.mul_vector(b) for b in space_prev.basis]
-    dim, reps = _cohomology_core(F.cod.field, im_cols, cocycle)
+    dim, reps, _ = _cohomology_core(F.cod.field, im_cols, cocycle)
     return {
         "dimension": dim,
         "representatives": reps,

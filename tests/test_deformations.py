@@ -254,3 +254,55 @@ def test_check_equivalence_zero_witness_identity(g_fiber2):
     G = g_fiber2
     assert check_equivalence(G, zero_deformation(), zero_deformation(),
                              zero_witness()).ok
+
+
+# each case breaks one input of a consistency check and prints what the
+# check raised; run under python -O, where a plain assert would be gone
+_CHECKS_UNDER_O = """
+import graycohom.deformations as dm
+import graycohom.pfcomplex as pf
+from graycohom.examples import (GroupModelSpec, cyclic_group, group_model,
+                                trivial_bicharacter, trivial_group)
+from graycohom.exactlinalg import GF, SparseMatrix
+
+K = GF(2)
+G = group_model(GroupModelSpec(trivial_group(), cyclic_group(2),
+                               trivial_bicharacter(cyclic_group(2), K), K))
+
+
+def raised(fn):
+    try:
+        fn()
+    except AssertionError as e:
+        return str(e)
+    return "no raise"
+
+
+rank = dm.rank
+dm.rank = lambda M: rank(M) + 1
+print(raised(lambda: dm.brute_force_classes(G, "tens")))
+dm.rank = rank
+
+dm.Echelon = type("Flat", (dm.Echelon,), {"reduce": lambda self, row: {}})
+print(raised(lambda: dm.brute_force_classes(G, "tens")))
+
+kernel_basis = pf.kernel_basis
+pf.kernel_basis = lambda M: kernel_basis(M) * 2
+print(raised(lambda: pf._cohomology_core(K, [], SparseMatrix(1, 2, K))))
+"""
+
+
+def test_consistency_checks_survive_python_O():
+    import os
+    import subprocess
+    import sys
+
+    import graycohom
+    src = os.path.dirname(os.path.dirname(graycohom.__file__))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _CHECKS_UNDER_O],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=120, check=True).stdout.splitlines()
+    assert out == ["4 enumerated cocycles, expected 2",
+                   "1 classes of 2^1 do not cover 4 cocycles",
+                   "2 representatives for dimension 4"]

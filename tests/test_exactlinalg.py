@@ -1,5 +1,6 @@
 """Exact sparse linear algebra: properties checked against dense brute
-force and rank-nullity identities over Q and small prime fields."""
+force, sympy's DomainMatrix RREF and rank-nullity identities over Q and
+small prime fields."""
 
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from graycohom.exactlinalg import (
     GF,
     QQ,
+    Echelon,
     SparseMatrix,
     Vector,
     from_columns,
@@ -18,6 +20,7 @@ from graycohom.exactlinalg import (
     solve_in_image,
     vstack,
 )
+from graycohom.pfcomplex import _cohomology_core
 
 FIELDS = [QQ, GF(2), GF(5), GF(97)]
 
@@ -40,21 +43,24 @@ def to_sparse(field_, rows):
     return M
 
 
-def dense_rank_fraction(rows):
-    """Row reduction over Fraction, written independently of the module."""
-    rows = [[Fraction(x) for x in row] for row in rows]
+def dense_rank_fraction(rows, p=None):
+    """Row reduction over Fraction, or over the integers mod p when p is
+    given; written independently of the module."""
+    red = (lambda x: x) if p is None else (lambda x: x % p)
+    rows = [[red(Fraction(x)) for x in row] for row in rows]
     r = 0
     for col in range(len(rows[0])):
         piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
+        x = rows[r][col]
+        inv = 1 / x if p is None else pow(int(x), p - 2, p)
+        rows[r] = [red(y * inv) for y in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][col]:
                 c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [red(a - c * b) for a, b in zip(rows[i], rows[r])]
         r += 1
     return r
 
@@ -203,3 +209,146 @@ def test_prime_field_arithmetic():
             assert K.mul(a, K.inv(a)) == K.one()
     with pytest.raises(ValueError):
         GF(6)
+
+
+def sparse_matrices(field_, max_dim=6):
+    """Matrices of field elements, about half of the entries zero."""
+    entry = st.one_of(st.just(0), scalars(field_))
+    return st.integers(1, max_dim).flatmap(
+        lambda c: st.lists(st.lists(entry, min_size=c, max_size=c),
+                           min_size=1, max_size=max_dim)
+    ).map(lambda rows: to_sparse_scalars(field_, rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_=st.sampled_from(FIELDS), data=st.data())
+def test_rref_kernel_and_pivots_match_sympy(field_, data):
+    pytest.importorskip("sympy")
+    from sympy import GF as SGF, QQ as SQQ
+    from sympy.polys.matrices import DomainMatrix
+
+    M = data.draw(sparse_matrices(field_))
+    if field_ == QQ:
+        dom, back = SQQ, lambda x: Fraction(int(x.numerator),
+                                            int(x.denominator))
+    else:
+        dom = SGF(field_.p)
+        back = lambda x: dom.to_int(x) % field_.p  # noqa: E731
+    dense = [[dom(0)] * M.cols for _ in range(M.rows)]
+    for (i, j), v in M.entries.items():
+        dense[i][j] = dom(v.numerator, v.denominator) if field_ == QQ \
+            else dom(v)
+    R, pivots = DomainMatrix(dense, (M.rows, M.cols), dom).rref()
+    R = [[back(x) for x in row] for row in R.to_list()]
+
+    assert rank(M) == len(pivots)
+    echelon = Echelon(field_, M.row_lists())
+    assert sorted(echelon.rows) == list(pivots)
+    for i, c in enumerate(pivots):
+        assert {c: 1, **echelon.rows[c]} == \
+            {j: x for j, x in enumerate(R[i]) if x}
+    # the RREF null space basis: one vector per free column, in order
+    free = [j for j in range(M.cols) if j not in pivots]
+    want = [{fc: 1, **{c: field_.neg(R[i][fc])
+                       for i, c in enumerate(pivots) if R[i][fc]}}
+            for fc in free]
+    assert [v.entries for v in kernel_basis(M)] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_=st.sampled_from(FIELDS), data=st.data())
+def test_row_order_does_not_change_kernel_or_solution(field_, data):
+    M = data.draw(sparse_matrices(field_))
+    perm = data.draw(st.permutations(range(M.rows)))
+    P = SparseMatrix(M.rows, M.cols, field_,
+                     {(perm[i], j): v for (i, j), v in M.entries.items()})
+    b = data.draw(st.lists(st.one_of(st.just(0), scalars(field_)),
+                           min_size=M.rows, max_size=M.rows))
+    b_M = Vector(M.rows, {i: x for i, x in enumerate(b) if x})
+    b_P = Vector(M.rows, {perm[i]: x for i, x in enumerate(b) if x})
+
+    def items(vectors):
+        return [list(v.entries.items()) for v in vectors]
+
+    assert items(kernel_basis(M)) == items(kernel_basis(P))
+    x_M, x_P = solve_in_image(M, b_M), solve_in_image(P, b_P)
+    assert (x_M is None) == (x_P is None)
+    if x_M is not None:
+        assert list(x_M.entries.items()) == list(x_P.entries.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integral_rationals_come_back_as_int(data):
+    # Fraction(n, 1) inputs too: the outputs are still plain int
+    entry = st.one_of(st.just(0), st.fractions(-7, 7, max_denominator=4))
+    c = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                              min_size=1, max_size=5))
+    M = to_sparse_scalars(QQ, rows)
+    xs = [x for v in kernel_basis(M) for x in v.entries.values()]
+    coeffs = data.draw(st.lists(entry, min_size=c, max_size=c))
+    b = M.mul_vector(Vector(c, {j: x for j, x in enumerate(coeffs) if x}))
+    sol = solve_in_image(M, b)
+    assert sol is not None and M.mul_vector(sol) == b
+    xs += list(sol.entries.values())
+    assert all(type(x) is int or x.denominator != 1 for x in xs)
+
+
+def test_cleared_pivot_rows_hold_int_when_integral():
+    # clearing column 1 from the first pivot row makes -1/2 * 2 there
+    M = to_sparse(QQ, [[2, 1, 0], [0, 1, 2]])
+    (v,) = kernel_basis(M)
+    assert v.entries == {2: 1, 0: 1, 1: -2}
+    assert all(type(x) is int for x in v.entries.values())
+
+
+def old_representatives(field_, cobound, Z):
+    """The rule _cohomology_core replaced: a kernel vector, in order, is a
+    representative when adding it to the coboundaries and the earlier
+    representatives raises the rank; ranks by dense elimination."""
+    p = None if field_ == QQ else field_.p
+    n = Z[0].length if Z else 0
+
+    def dense_rank(vectors):
+        if not vectors:
+            return 0
+        return dense_rank_fraction(
+            [[v.entries.get(i, 0) for i in range(n)] for v in vectors], p)
+
+    dim = len(Z) - dense_rank(cobound)
+    chosen, reps = list(cobound), []
+    for z in Z:
+        if len(reps) == dim:
+            break
+        if dense_rank(chosen + [z]) > dense_rank(chosen):
+            reps.append(z)
+            chosen.append(z)
+    return reps
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_=st.sampled_from(FIELDS), data=st.data())
+def test_cohomology_core_keeps_the_greedy_representatives(field_, data):
+    M = data.draw(sparse_matrices(field_))
+    Z = kernel_basis(M)
+    # coboundaries: random combinations of kernel vectors
+    cobound = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        acc = {}
+        for z in Z:
+            c = data.draw(st.integers(-2, 2))
+            for i, x in z.entries.items():
+                acc[i] = field_.add(acc.get(i, 0), field_.mul(
+                    field_.from_int(c), x))
+        cobound.append(Vector(M.cols, {i: x for i, x in acc.items() if x}))
+    dim, reps, rank_prev = _cohomology_core(field_, cobound, M)
+    want = old_representatives(field_, cobound, Z)
+    assert reps == want and dim == len(want)
+    assert rank_prev == len(Z) - dim
+
+
+def test_solve_in_image_ignores_explicit_zeros_in_b():
+    K = GF(5)
+    M = to_sparse(K, [[1, 2], [0, 1]])
+    assert solve_in_image(M, Vector(2, {0: 1, 1: 0})).entries == {0: 1}
