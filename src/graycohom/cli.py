@@ -21,7 +21,6 @@ from . import defcomplex, schema as sc
 from .deformations import (
     DEFAULT_ENUM_BOUND,
     EnumerationBoundExceeded,
-    _summand_slices,
     brute_force_classes,
     candidate_degree,
     check_structural,
@@ -31,8 +30,6 @@ from .defcomplex import (
     CapExceeded,
     ComplexSelection,
     SELECTION_KINDS,
-    bicomplex_space,
-    pent_space,
     total_space,
 )
 from .examples import (
@@ -101,22 +98,9 @@ def _encode_representative(G: GraySemigroup, sel: ComplexSelection, q: int,
                            vec: Vector) -> list:
     """Sparse (summand, tuple) -> coefficient-list encoding of a total
     coordinate vector."""
-    sp = total_space(G, sel, q)
-    C = G.base
-    out = []
-    for desc, off, dim in _summand_slices(sp):
-        local = Vector(dim, {i - off: v for i, v in vec.entries.items()
-                             if off <= i < off + dim})
-        if desc[0] == "bi":
-            space = bicomplex_space(G, desc[1], desc[2]).pf
-        else:
-            space = pent_space(G, desc[1])
-        for t in space.tuples:
-            tm = space.value(local, t)
-            if not C.is_zero2(tm):
-                out.append([list(desc), sc.encode_id(t),
-                            [sc.encode_scalar(c) for c in tm.coeffs]])
-    return out
+    return [[list(desc), sc.encode_id(t),
+             [sc.encode_scalar(c) for c in tm.coeffs]]
+            for desc, t, tm in total_space(G, sel, q).nonzero_values(vec)]
 
 
 # ----- command logic ----------------------------------------------------
@@ -195,9 +179,10 @@ def run_classify(text: str, mode: str):
     for v in coh["representatives"]:
         d = deformation_from_vector(G, kind, normalize_leading(K, v))
         check = check_structural(G, d)
-        assert check.ok, \
-            f"classification representative fails re-verification: " \
-            f"{check.violations[:3]}"
+        if not check.ok:
+            raise AssertionError(
+                f"classification representative fails re-verification: "
+                f"{check.violations[:3]}")
         doc = sc.deformation_to_json(d)
         reps.append(doc)
     count = K.p ** coh["betti"] if isinstance(K, PrimeField) else None
@@ -212,8 +197,7 @@ def run_classify(text: str, mode: str):
     }
 
 
-def run_oracle(text: str, mode: str, bound: int = DEFAULT_ENUM_BOUND,
-               workers: int = 1):
+def run_oracle(text: str, mode: str, bound: int = DEFAULT_ENUM_BOUND):
     try:
         G = _load_gray(text)
     except sc.SchemaError as e:
@@ -229,7 +213,7 @@ def run_oracle(text: str, mode: str, bound: int = DEFAULT_ENUM_BOUND,
     try:
         coh = defcomplex.cohomology(G, ComplexSelection(kind),
                                     candidate_degree(kind))
-        brute = brute_force_classes(G, kind, bound=bound, workers=workers)
+        brute = brute_force_classes(G, kind, bound=bound)
     except (CapExceeded, EnumerationBoundExceeded) as e:
         return EXIT_CAP, {"error": str(e)}
     linear_count = K.p ** coh["betti"]
@@ -276,7 +260,9 @@ def run_export(name: str, field_text: str):
         return EXIT_PARSE, {"error": str(e)}
     G = group_model(spec)
     rep = validate_gray(G)
-    assert rep.ok, f"generated structure failed validation: {rep.violations[:3]}"
+    if not rep.ok:
+        raise AssertionError(
+            f"generated structure failed validation: {rep.violations[:3]}")
     return EXIT_OK, sc.gray_to_json(G)
 
 
@@ -354,16 +340,14 @@ def cli_classify(input, mode, out):
 @click.option("--mode", type=click.Choice(CLASSIFY_MODES), default="unit")
 @click.option("--enum-bound", type=int, default=DEFAULT_ENUM_BOUND,
               help="Abort if the candidate space is larger than this.")
-@click.option("--workers", type=int, default=1,
-              help="Worker threads for the enumeration.")
 @click.option("--out", default=None)
-def cli_oracle(input, mode, enum_bound, workers, out):
+def cli_oracle(input, mode, enum_bound, out):
     """Compare linear-algebra class counts with brute-force enumeration."""
     try:
         text = _read_input(input)
     except OSError as e:
         _finish(EXIT_PARSE, {"error": str(e)}, out)
-    _finish(*run_oracle(text, mode, enum_bound, workers), out)
+    _finish(*run_oracle(text, mode, enum_bound), out)
 
 
 @main.command("export")

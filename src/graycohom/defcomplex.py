@@ -334,50 +334,65 @@ def pent_space(G: GraySemigroup, degree: int,
 def delta_pent_matrix(G: GraySemigroup, degree: int) -> SparseMatrix:
     """Matrix of delta_pent: degree -> degree + 1 (free coordinates).  In
     the Gray case all paddings are identities and the differential is the
-    bar-type alternating sum with tensor whiskers by identity 2-cells."""
+    bar-type alternating sum with tensor whiskers by identity 2-cells.
+
+    Term j (sign (-1)^j) drops the first object (j = 0, whiskered by its
+    identity on the left), merges objects j-1 and j, or drops the last
+    object (whiskered on the right).  Its matrix on the fiber of the input
+    tuple is keyed by j, the whiskering object and the identity 1-cell of
+    the input tuple, and computed once per key."""
     key = ("dpent", degree)
     cache = _cache(G)
     if key in cache:
         return cache[key]
     C = G.base
     K = C.field
-    mul = G.tobj_many
     sp_in = pent_space(G, degree)
     sp_out = pent_space(G, degree + 1)
-    M = SparseMatrix(sp_out.dim_free, sp_in.dim_free, K)
+    ops: dict = {}
+    acc: dict = {}
 
-    def add_term(T_out, T_in, sign, post):
-        d_in = sp_in.tuple_dims.get(T_in)
-        if not d_in:
+    def post(j, whisker):
+        if whisker is None:
+            return lambda val: val
+        unit = C.id2(C.identity_cell[whisker])
+        if j == 0:
+            return lambda val: G.tensor2(unit, val)
+        return lambda val: G.tensor2(val, unit)
+
+    def add_term(row0, T_in, j, whisker):
+        if not sp_in.tuple_dims.get(T_in):
             return
-        s = K.one() if sign == 1 else K.from_int(sign)
         e = sp_in.id_cell(T_in)
-        for b in range(d_in):
-            val = TwoMorphism(e, e, tuple(
-                K.one() if i == b else K.zero() for i in range(d_in)))
-            out = post(val)
-            for k, v in enumerate(out.coeffs):
-                if not K.is_zero(v):
-                    M.add_to(sp_out.pos[(T_out, k)], sp_in.pos[(T_in, b)],
-                             K.mul(s, v))
+        op_key = (j, whisker, e)
+        op = ops.get(op_key)
+        if op is None:
+            op = ops[op_key] = term_operator(C, e, e, (-1) ** j,
+                                             post(j, whisker))
+        accumulate(acc, K.add, row0, sp_in.pos[(T_in, 0)], op)
 
     for T in sp_out.tuples:
+        if not sp_out.tuple_dims[T]:
+            continue
+        row0 = sp_out.pos[(T, 0)]
         k = len(T)  # degree + 2 objects
-        head = C.id2(C.identity_cell[T[0]])
-        add_term(T, T[1:], 1, lambda val, head=head: G.tensor2(head, val))
+        add_term(row0, T[1:], 0, T[0])
         for i in range(1, k):
-            T_in = T[:i - 1] + (G.tobj(T[i - 1], T[i]),) + T[i + 1:]
-            add_term(T, T_in, (-1) ** i, lambda val: val)
-        tail = C.id2(C.identity_cell[T[-1]])
-        add_term(T, T[:-1], (-1) ** k,
-                 lambda val, tail=tail: G.tensor2(val, tail))
-    cache[key] = M
+            add_term(row0, T[:i - 1] + (G.tobj(T[i - 1], T[i]),) + T[i + 1:],
+                     i, None)
+        add_term(row0, T[:-1], k, T[-1])
+    M = cache[key] = matrix_from_entries(sp_out.dim_free, sp_in.dim_free, K,
+                                         acc)
     return M
 
 
 def phi_matrix(G: GraySemigroup, degree: int) -> SparseMatrix:
     """Chain map phi: pentagonator degree d -> bicomplex bidegree (0, d):
-    (phi n)(f) = n_{targets} o 1_{(x)f} - 1_{(x)f} o n_{sources}."""
+    (phi n)(f) = n_{targets} o 1_{(x)f} - 1_{(x)f} o n_{sources}.
+
+    Each of the two terms is keyed by its sign, the whiskering cell (x)f
+    and the identity 1-cell of its object tuple, and computed once per
+    key."""
     key = ("phi", degree)
     cache = _cache(G)
     if key in cache:
@@ -386,71 +401,27 @@ def phi_matrix(G: GraySemigroup, degree: int) -> SparseMatrix:
     K = C.field
     sp_in = pent_space(G, degree)
     sp_out = bicomplex_space(G, 0, degree).pf
-    M = SparseMatrix(sp_out.dim_free, sp_in.dim_free, K)
-    for tup in sp_out.tuples:
+    ops: dict = {}
+    acc: dict = {}
+    for tup, slot in sp_out.slots.items():
         f = tup[0]  # a (degree+1)-tuple of composable-free base cells
-        Xs = tuple(C.cell_src[comp] for comp in f)
-        Ys = tuple(C.cell_tgt[comp] for comp in f)
         tf = G.tcell_many(f)
-        for (T, sign) in ((Ys, 1), (Xs, -1)):
-            d_in = sp_in.tuple_dims.get(T)
-            if not d_in:
+        for sign, T in ((1, tuple(C.cell_tgt[c] for c in f)),
+                        (-1, tuple(C.cell_src[c] for c in f))):
+            if not sp_in.tuple_dims.get(T):
                 continue
-            s = K.one() if sign == 1 else K.from_int(sign)
             e = sp_in.id_cell(T)
-            for b in range(d_in):
-                val = TwoMorphism(e, e, tuple(
-                    K.one() if i == b else K.zero() for i in range(d_in)))
-                out = C.hcomp(val, C.id2(tf)) if sign == 1 \
-                    else C.hcomp(C.id2(tf), val)
-                for k, v in enumerate(out.coeffs):
-                    if not K.is_zero(v):
-                        M.add_to(sp_out.pos[(tup, k)], sp_in.pos[(T, b)],
-                                 K.mul(s, v))
-    cache[key] = M
+            op_key = (sign, tf, e)
+            op = ops.get(op_key)
+            if op is None:
+                unit = C.id2(tf)
+                post = ((lambda val: C.hcomp(val, unit)) if sign == 1
+                        else (lambda val: C.hcomp(unit, val)))
+                op = ops[op_key] = term_operator(C, e, e, sign, post)
+            accumulate(acc, K.add, slot[0], sp_in.pos[(T, 0)], op)
+    M = cache[key] = matrix_from_entries(sp_out.dim_free, sp_in.dim_free, K,
+                                         acc)
     return M
-
-
-# ----- cochain-level wrappers -------------------------------------------
-
-
-@dataclass
-class BicomplexCochain:
-    G: GraySemigroup
-    m: int
-    n: int
-    vector: Vector      # free coordinates of bicomplex_space(G, m, n).pf
-    special: bool = False
-
-
-@dataclass
-class PentCochain:
-    G: GraySemigroup
-    degree: int
-    vector: Vector
-    natural: bool = False
-
-
-def delta_h(c: BicomplexCochain) -> BicomplexCochain:
-    M = delta_h_matrix(c.G, c.m, c.n)
-    return BicomplexCochain(c.G, c.m + 1, c.n, M.mul_vector(c.vector),
-                            c.special)
-
-
-def delta_v(c: BicomplexCochain) -> BicomplexCochain:
-    M = delta_v_matrix(c.G, c.m, c.n)
-    return BicomplexCochain(c.G, c.m, c.n + 1, M.mul_vector(c.vector),
-                            c.special)
-
-
-def delta_pent(p: PentCochain) -> PentCochain:
-    M = delta_pent_matrix(p.G, p.degree)
-    return PentCochain(p.G, p.degree + 1, M.mul_vector(p.vector), p.natural)
-
-
-def phi_map(p: PentCochain) -> BicomplexCochain:
-    M = phi_matrix(p.G, p.degree)
-    return BicomplexCochain(p.G, 0, p.degree, M.mul_vector(p.vector))
 
 
 # ----- total complexes --------------------------------------------------
@@ -529,6 +500,25 @@ class TotalSpace:
     @property
     def dimension(self):
         return len(self.basis)
+
+    def nonzero_values(self, vec: Vector):
+        """(summand, tuple, 2-morphism) for every nonzero value that a
+        vector of total free coordinates assigns, summands and tuples in
+        order."""
+        C = self.G.base
+        ends = self.offsets[1:] + [self.dim_free]
+        for desc, off, end in zip(self.summands, self.offsets, ends):
+            local = Vector(end - off, {i - off: v
+                                       for i, v in vec.entries.items()
+                                       if off <= i < end})
+            if desc[0] == "bi":
+                space = bicomplex_space(self.G, desc[1], desc[2]).pf
+            else:
+                space = pent_space(self.G, desc[1])
+            for t in space.tuples:
+                tm = space.value(local, t)
+                if not C.is_zero2(tm):
+                    yield desc, t, tm
 
 
 def _summand_dim(G: GraySemigroup, desc) -> int:
@@ -642,7 +632,7 @@ def total_differential(G: GraySemigroup, sel: ComplexSelection,
 
 def assemble_complex(G: GraySemigroup, sel: ComplexSelection):
     """Spaces for q = 1..qmax+1 and differential matrices for q = 1..qmax;
-    consecutive products are asserted to vanish on the constrained bases."""
+    consecutive products are checked to vanish on the constrained bases."""
     if sel.qmax > DEFAULT_TOTAL_CAP:
         raise CapExceeded(
             f"total degree {sel.qmax} exceeds cap {DEFAULT_TOTAL_CAP}")
@@ -651,8 +641,9 @@ def assemble_complex(G: GraySemigroup, sel: ComplexSelection):
     for q in range(1, sel.qmax):
         prod = diffs[q + 1].mul_matrix(diffs[q])
         for b in spaces[q].basis:
-            assert prod.mul_vector(b).is_zero(), \
-                f"differential does not square to zero at degree {q}"
+            if not prod.mul_vector(b).is_zero():
+                raise AssertionError(
+                    f"differential does not square to zero at degree {q}")
     return {"selection": sel, "spaces": spaces, "differentials": diffs}
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .defcomplex import (
@@ -38,6 +37,8 @@ from .gray import GraySemigroup
 from .twocat import TwoMorphism, ValidationReport
 
 DEFAULT_ENUM_BOUND = 2 ** 20
+# the cross-class check tries every witness when there are at most this many
+WITNESS_SEARCH_LIMIT = 4096
 
 ORACLE_KINDS = ("unit", "tens_ass", "ass", "tens", "pent_restricted")
 
@@ -567,8 +568,8 @@ class _StructuralSystem:
         undeformed structure satisfies its axioms."""
         C = self.C
         lhs, rhs = fn(dc)
-        assert C.eq2(lhs.lead, rhs.lead), \
-            "undeformed structural equation violated"
+        if not C.eq2(lhs.lead, rhs.lead):
+            raise AssertionError("undeformed structural equation violated")
         return C.add2(lhs.eps, C.neg2(rhs.eps))
 
     def residual_list(self, d: FirstOrderDeformation) -> list:
@@ -834,12 +835,12 @@ def check_equivalence(G: GraySemigroup, d1: FirstOrderDeformation,
 # ----- gauge shift of the zero deformation ------------------------------
 
 
-def equivalence_shift(G: GraySemigroup, w: EquivalenceWitness,
-                      verify: bool = True) -> FirstOrderDeformation:
+def equivalence_shift(G: GraySemigroup,
+                      w: EquivalenceWitness) -> FirstOrderDeformation:
     """The unique deformation the zero deformation is carried into by the
     gauge witness w (solved from the transfer equations; linear in w).
-    With verify=True the result is re-checked against the literal
-    equations through check_equivalence."""
+    The result is re-checked against the literal equations through
+    check_equivalence."""
     rep = witness_shapes(G, w)
     if not rep.ok:
         raise ValueError("; ".join(rep.structural_errors))
@@ -920,22 +921,14 @@ def equivalence_shift(G: GraySemigroup, w: EquivalenceWitness,
         if not C.is_zero2(val):
             d.pentagonator1[T4] = val
 
-    if verify:
-        out = check_equivalence(G, zero_deformation(), d, w)
-        assert out.ok, f"gauge shift failed verification: {out.violations[:3]}"
+    out = check_equivalence(G, zero_deformation(), d, w)
+    if not out.ok:
+        raise AssertionError(
+            f"gauge shift failed verification: {out.violations[:3]}")
     return d
 
 
 # ----- coordinates <-> sparse data --------------------------------------
-
-
-def _summand_slices(sp):
-    out = []
-    for i, desc in enumerate(sp.summands):
-        off = sp.offsets[i]
-        end = sp.offsets[i + 1] if i + 1 < len(sp.offsets) else sp.dim_free
-        out.append((desc, off, end - off))
-    return out
 
 
 def _bi_family(desc):
@@ -953,27 +946,14 @@ def _families_from_vector(G: GraySemigroup, kind: str, q: int, vec: Vector):
     sp = total_space(G, sel, q)
     if vec.length != sp.dim_free:
         raise ValueError("coordinate vector has the wrong length")
-    C = G.base
     out = {"tensorator1": {}, "associator1": {}, "pentagonator1": {},
            "psi1": {}, "omega1": {}}
-    for desc, off, dim in _summand_slices(sp):
-        local = Vector(dim, {i - off: v for i, v in vec.entries.items()
-                             if off <= i < off + dim})
+    for desc, t, tm in sp.nonzero_values(vec):
         if desc[0] == "bi":
-            pf = bicomplex_space(G, desc[1], desc[2]).pf
             family = _bi_family(desc)
-            for t in pf.tuples:
-                tm = pf.value(local, t)
-                if C.is_zero2(tm):
-                    continue
-                out[family][t if family == "tensorator1" else t[0]] = tm
+            out[family][t if family == "tensorator1" else t[0]] = tm
         else:
-            psp = pent_space(G, desc[1])
-            family = "omega1" if desc[1] == 2 else "pentagonator1"
-            for T in psp.tuples:
-                tm = psp.value(local, T)
-                if not C.is_zero2(tm):
-                    out[family][T] = tm
+            out["omega1" if desc[1] == 2 else "pentagonator1"][t] = tm
     return out
 
 
@@ -1005,7 +985,7 @@ def _families_to_vector(G: GraySemigroup, kind: str, q: int,
     C = G.base
     entries = {}
     consumed = set()
-    for desc, off, _dim in _summand_slices(sp):
+    for desc, off in zip(sp.summands, sp.offsets):
         if desc[0] == "bi":
             pf = bicomplex_space(G, desc[1], desc[2]).pf
             family = _bi_family(desc)
@@ -1118,8 +1098,9 @@ def find_equivalence(G: GraySemigroup, d1: FirstOrderDeformation,
                         length=wsp.dim_free)
     w = witness_from_vector(G, kind, wvec)
     rep = check_equivalence(G, d1, d2, w)
-    assert rep.ok, (f"gauge system solution fails the literal transfer "
-                    f"equations: {rep.violations[:3]}")
+    if not rep.ok:
+        raise AssertionError(f"gauge system solution fails the literal "
+                             f"transfer equations: {rep.violations[:3]}")
     return w
 
 
@@ -1127,9 +1108,7 @@ def find_equivalence(G: GraySemigroup, d1: FirstOrderDeformation,
 
 
 def brute_force_classes(G: GraySemigroup, kind: str = "unit",
-                        bound: int = DEFAULT_ENUM_BOUND, workers: int = 1,
-                        rng: random.Random | None = None,
-                        witness_search_limit: int = 4096) -> dict:
+                        bound: int = DEFAULT_ENUM_BOUND) -> dict:
     """Classify first-order deformations of a selection up to gauge
     equivalence by exhaustive enumeration over a prime field.
 
@@ -1147,7 +1126,7 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
     if not isinstance(K, PrimeField):
         raise ValueError("exhaustive classification needs a prime field")
     p = K.p
-    rng = rng or random.Random(20240811)
+    rng = random.Random(20240811)
     sel = ComplexSelection(kind)
     q = candidate_degree(kind)
     sp = total_space(G, sel, q)
@@ -1158,7 +1137,8 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
             f"{p}^{nb} candidates exceed the enumeration bound {bound}; "
             f"use a smaller model or raise the bound")
     sys = _structural_system(G)
-    assert all(x == K.zero() for x in sys.residual_list(zero_deformation()))
+    if any(x != K.zero() for x in sys.residual_list(zero_deformation())):
+        raise AssertionError("the zero deformation has a nonzero residual")
 
     def dfv(coeff_tuple):
         return deformation_from_vector(
@@ -1183,8 +1163,9 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
     for _ in range(3):
         coeffs = tuple(rng.randrange(p) for _ in range(nb))
         direct = sys.residual_list(dfv(coeffs))
-        lin = lin_residual(coeffs)
-        assert {r: v for r, v in enumerate(direct) if v} == lin
+        if {r: v for r, v in enumerate(direct) if v} != lin_residual(coeffs):
+            raise AssertionError(
+                f"the structural residual is not linear at {coeffs}")
 
     half = nb // 2
     colsA, colsB = cols[:half], cols[half:]
@@ -1202,24 +1183,12 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
     for a in itertools.product(range(p), repeat=half):
         tableA.setdefault(combine(colsA, a), []).append(a)
 
-    def scan_chunk(bs):
-        out = []
-        for btup in bs:
-            res = combine(colsB, btup)
-            need = tuple(sorted((r, (-v) % p) for r, v in res))
-            for a in tableA.get(need, ()):
-                out.append(a + btup)
-        return out
-
-    all_b = list(itertools.product(range(p), repeat=nb - half))
     Z: list = []
-    if workers > 1:
-        chunks = [all_b[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            for part in ex.map(scan_chunk, chunks):
-                Z.extend(part)
-    else:
-        Z.extend(scan_chunk(all_b))
+    for btup in itertools.product(range(p), repeat=nb - half):
+        res = combine(colsB, btup)
+        need = tuple(sorted((r, (-v) % p) for r, v in res))
+        for a in tableA.get(need, ()):
+            Z.append(a + btup)
     Z.sort()
 
     Smat = SparseMatrix(
@@ -1232,7 +1201,9 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
 
     # spot-check the linearized accept/reject against the full equations
     for ztup in (rng.sample(Z, min(3, len(Z))) if Z else []):
-        assert check_structural(G, dfv(ztup)).ok
+        if not check_structural(G, dfv(ztup)).ok:
+            raise AssertionError(
+                f"enumerated cocycle {ztup} fails the structural equations")
     zset = set(Z)
     tries = 0
     while tries < 3 and len(zset) < p ** nb:
@@ -1240,7 +1211,10 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
         if cand in zset:
             continue
         tries += 1
-        assert not check_structural(G, dfv(cand)).ok
+        if check_structural(G, dfv(cand)).ok:
+            raise AssertionError(
+                f"rejected candidate {cand} satisfies the structural "
+                f"equations")
 
     # gauge shifts span the coboundaries
     wsp = total_space(G, sel, q - 1)
@@ -1251,9 +1225,11 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
         shift = equivalence_shift(G, w)   # verified literally inside
         svec = vector_from_deformation(G, kind, shift)
         coeff = solve_in_image(cand_mat, svec)
-        assert coeff is not None, "gauge shift left the candidate space"
+        if coeff is None:
+            raise AssertionError("gauge shift left the candidate space")
         ctup = tuple(coeff.entries.get(j, 0) for j in range(nb))
-        assert not lin_residual(ctup), "gauge shift is not a solution"
+        if lin_residual(ctup):
+            raise AssertionError("gauge shift is not a solution")
         shift_vectors.append(ctup)
 
     # a class is keyed by the normal form of its members modulo the span
@@ -1293,17 +1269,23 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
         w = witness_from_vector(
             G, kind, _vec_combine(K, wsp.basis, wcoeffs,
                                   length=wsp.dim_free))
-        assert check_equivalence(G, dfv(base_rep), dfv(other), w).ok
+        if not check_equivalence(G, dfv(base_rep), dfv(other), w).ok:
+            raise AssertionError(
+                f"{base_rep} and {other} differ by a shift but the literal "
+                f"equivalence check fails")
 
     # literal cross-class verification: no witness at all works
     nw = len(wsp.basis)
-    if count > 1 and p ** nw <= witness_search_limit:
+    if count > 1 and p ** nw <= WITNESS_SEARCH_LIMIT:
         da, db = dfv(reps[0]), dfv(reps[1])
         for wcoeffs in itertools.product(range(p), repeat=nw):
             w = witness_from_vector(
                 G, kind, _vec_combine(K, wsp.basis, wcoeffs,
                                       length=wsp.dim_free))
-            assert not check_equivalence(G, da, db, w).ok
+            if check_equivalence(G, da, db, w).ok:
+                raise AssertionError(
+                    f"witness {wcoeffs} joins the classes of {reps[0]} "
+                    f"and {reps[1]}")
 
     return {
         "kind": kind,

@@ -191,8 +191,9 @@ def tensor_power(G: GraySemigroup, n: int) -> Pseudofunctor:
                     tens, tuple(C.compose(g[i], f[i]) for i in range(2, n)),
                     prev.fhat[(gg, ff)])
         for key in fhat:
-            assert C.eq2(fhat[key], lhat[key]), \
-                f"tensor power recursions disagree at {key}"
+            if not C.eq2(fhat[key], lhat[key]):
+                raise AssertionError(
+                    f"tensor power recursions disagree at {key}")
 
     f0 = {X: C.id2(C.identity_cell[obj_map[X]]) for X in dom.objects}
     F = Pseudofunctor(dom, C, obj_map, cell_map, two_map, fhat, f0)

@@ -377,13 +377,14 @@ class PFCochain:
 def delta_pf(F: Pseudofunctor, phi: PFCochain,
              cap: int = DEFAULT_DEGREE_CAP) -> PFCochain:
     """The differential applied to a single cochain; output naturality is
-    asserted against the degree-(n+1) constraint system."""
+    checked against the degree-(n+1) constraint system."""
     space_n = phi.space
     space_n1 = pf_cochain_basis(F, space_n.degree + 1, cap)
     M = delta_pf_matrix(F, space_n, space_n1)
     out = M.mul_vector(phi.vector)
     residue = space_n1.constraints.mul_vector(out)
-    assert residue.is_zero(), "differential output violates naturality"
+    if not residue.is_zero():
+        raise AssertionError("differential output violates naturality")
     return PFCochain(space_n1, out)
 
 

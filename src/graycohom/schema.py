@@ -17,7 +17,7 @@ import json
 from fractions import Fraction
 
 from .deformations import EquivalenceWitness, FirstOrderDeformation
-from .exactlinalg import GF, QQ, Field, RationalField
+from .exactlinalg import GF, QQ, Field
 from .gray import GraySemigroup
 from .twocat import TwoCategory, TwoMorphism
 

@@ -3,9 +3,8 @@
 A 2-category here is a finite object set, finite 1-cell sets with a total
 strictly associative composition table, and finite-dimensional 2-morphism
 spaces given by a basis and structure constants for vertical and horizontal
-composition.  Pseudofunctors, pseudonatural transformations and
-modifications are layered on top as table-backed structures with validators
-that return complete witness lists.
+composition.  Pseudofunctors are layered on top as table-backed structures
+with a validator that returns complete witness lists.
 """
 
 from __future__ import annotations
@@ -366,14 +365,6 @@ def validate_two_category(C: TwoCategory) -> ValidationReport:
 # ----- cartesian products ----------------------------------------------
 
 
-def _mixed_radix(indices, dims):
-    """Flatten componentwise basis indices to a single lexicographic index."""
-    out = 0
-    for i, d in zip(indices, dims):
-        out = out * d + i
-    return out
-
-
 def product_many(cats: list[TwoCategory]) -> TwoCategory:
     """Cartesian product; objects and 1-cells are tuples, 2-cell spaces are
     tensor products of the component spaces."""
@@ -529,10 +520,6 @@ def product_many(cats: list[TwoCategory]) -> TwoCategory:
                        vcomp_const, hcomp_const)
 
 
-def product(C: TwoCategory, D: TwoCategory) -> TwoCategory:
-    return product_many([C, D])
-
-
 # ----- pseudofunctors ---------------------------------------------------
 
 
@@ -555,7 +542,6 @@ class Pseudofunctor:
         self.two_map = dict(two_map)
         self.fhat = dict(fhat)
         self.f0 = dict(f0)
-        self._fhat_inv = {}
 
     def map2(self, t: TwoMorphism) -> TwoMorphism:
         K = self.cod.field
@@ -568,12 +554,6 @@ class Pseudofunctor:
             for k, v in cols[i].items():
                 out[k] = K.add(out[k], K.mul(c, v))
         return TwoMorphism(Ff, Ff2, tuple(out))
-
-    def fhat_inv(self, g, f) -> TwoMorphism:
-        key = (g, f)
-        if key not in self._fhat_inv:
-            self._fhat_inv[key] = self.cod.invert2(self.fhat[key])
-        return self._fhat_inv[key]
 
     @property
     def unitary(self) -> bool:
@@ -690,126 +670,4 @@ def validate_pseudofunctor(F: Pseudofunctor) -> ValidationReport:
         rhs = D.hcomp(F.f0[Y], D.id2(F.cell_map[f]))
         if not D.eq2(lhs, rhs):
             rep.add("triangular-axiom-left", f)
-    return rep
-
-
-# ----- pseudonatural transformations and modifications ------------------
-
-
-@dataclass
-class PseudonaturalTransformation:
-    """xi: F => G given by 1-cells xi_X and 2-isomorphisms
-    xihat(f): G(f) o xi_X => xi_Y o F(f)."""
-
-    F: Pseudofunctor
-    G: Pseudofunctor
-    xi: dict          # X -> 1-cell of the codomain
-    xihat: dict       # f -> TwoMorphism
-
-
-def identity_transformation(F: Pseudofunctor) -> PseudonaturalTransformation:
-    D = F.cod
-    xi = {X: D.identity_cell[F.obj_map[X]] for X in F.dom.objects}
-    xihat = {f: D.id2(F.cell_map[f]) for f in F.dom.cell_src}
-    return PseudonaturalTransformation(F, F, xi, xihat)
-
-
-def validate_transformation(xi: PseudonaturalTransformation) -> ValidationReport:
-    """Coherence of a pseudonatural transformation in the strict setting."""
-    rep = ValidationReport()
-    F, G = xi.F, xi.G
-    C, D = F.dom, F.cod
-
-    for f in C.cell_src:
-        X, Y = C.cell_src[f], C.cell_tgt[f]
-        t = xi.xihat.get(f)
-        if t is None:
-            rep.add_structural(f"xihat missing {f}")
-            continue
-        src = D.compose(G.cell_map[f], xi.xi[X])
-        tgt = D.compose(xi.xi[Y], F.cell_map[f])
-        if t.src != src or t.tgt != tgt:
-            rep.add("xihat-endpoints", f)
-    if rep.structural_errors or rep.violations:
-        return rep
-
-    # naturality of xihat in f
-    for f in C.cell_src:
-        X, Y = C.cell_src[f], C.cell_tgt[f]
-        for f2 in C.parallel_targets(f):
-            for i in range(C.dim2(f, f2)):
-                tau = C.basis2(f, f2, i)
-                lhs = D.vcomp(D.hcomp(D.id2(xi.xi[Y]), F.map2(tau)),
-                              xi.xihat[f])
-                rhs = D.vcomp(xi.xihat[f2],
-                              D.hcomp(G.map2(tau), D.id2(xi.xi[X])))
-                if not D.eq2(lhs, rhs):
-                    rep.add("xihat-naturality", (f, f2, i))
-
-    # composition coherence:
-    # xihat(g o f) . (Ghat(g, f) o 1_{xi_X}) =
-    #   (1_{xi_Z} o Fhat(g, f)) . (xihat(g) o 1_{F(f)}) . (1_{G(g)} o xihat(f))
-    cells = list(C.all_cells())
-    for g in cells:
-        for f in cells:
-            if C.cell_tgt[f] != C.cell_src[g]:
-                continue
-            X = C.cell_src[f]
-            Z = C.cell_tgt[g]
-            lhs = D.vcomp(xi.xihat[C.compose(g, f)],
-                          D.hcomp(G.fhat[(g, f)], D.id2(xi.xi[X])))
-            rhs = D.vcomp_many([
-                D.hcomp(D.id2(xi.xi[Z]), F.fhat[(g, f)]),
-                D.hcomp(xi.xihat[g], D.id2(F.cell_map[f])),
-                D.hcomp(G.map2(C.id2(g)), xi.xihat[f]),
-            ])
-            if not D.eq2(lhs, rhs):
-                rep.add("xihat-composition", (g, f))
-
-    # unit coherence: xihat(id_X) . (G0(X)^{-1} o 1_{xi_X}) = 1_{xi_X} o F0(X)^{-1}
-    for X in C.objects:
-        lhs = D.vcomp(xi.xihat[C.identity_cell[X]],
-                      D.hcomp(D.invert2(G.f0[X]), D.id2(xi.xi[X])))
-        rhs = D.hcomp(D.id2(xi.xi[X]), D.invert2(F.f0[X]))
-        if not D.eq2(lhs, rhs):
-            rep.add("xihat-unit", X)
-    return rep
-
-
-@dataclass
-class Modification:
-    """Family n_X: xi_X => zeta_X; a modification when natural in X, a
-    pseudomodification otherwise."""
-
-    xi: PseudonaturalTransformation
-    zeta: PseudonaturalTransformation
-    n: dict            # X -> TwoMorphism
-    natural_flag: bool = True
-
-
-def validate_modification(m: Modification) -> ValidationReport:
-    """Endpoint check always; the naturality square
-    zetahat(f) . (1_{G(f)} o n_X) = (n_Y o 1_{F(f)}) . xihat(f)
-    is an axiom when natural_flag is set, informative otherwise."""
-    rep = ValidationReport()
-    F = m.xi.F
-    G = m.xi.G
-    C, D = F.dom, F.cod
-    for X in C.objects:
-        t = m.n.get(X)
-        if t is None:
-            rep.add_structural(f"component missing at {X}")
-            continue
-        if t.src != m.xi.xi[X] or t.tgt != m.zeta.xi[X]:
-            rep.add("component-endpoints", X)
-    if not m.natural_flag or rep.structural_errors or rep.violations:
-        return rep
-    for f in C.cell_src:
-        X, Y = C.cell_src[f], C.cell_tgt[f]
-        lhs = D.vcomp(m.zeta.xihat[f],
-                      D.hcomp(D.id2(G.cell_map[f]), m.n[X]))
-        rhs = D.vcomp(D.hcomp(m.n[Y], D.id2(F.cell_map[f])),
-                      m.xi.xihat[f])
-        if not D.eq2(lhs, rhs):
-            rep.add("modification-naturality", f)
     return rep

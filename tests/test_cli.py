@@ -7,8 +7,15 @@ import pytest
 from click.testing import CliRunner
 
 from graycohom import cli, schema as sc
+from graycohom.defcomplex import (
+    ComplexSelection,
+    bicomplex_space,
+    cohomology,
+    pent_space,
+    total_space,
+)
 from graycohom.deformations import check_structural
-from graycohom.exactlinalg import GF, QQ
+from graycohom.exactlinalg import GF, QQ, normalize_leading
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +76,50 @@ def test_cohomology_document_shape(fiber2_text):
     for r in doc["results"]:
         assert r["dim_kernel"] == r["betti"] + r["rank_prev"]
         assert len(r["representatives"]) == r["betti"]
+
+
+def _decode_representative(G, sp, rep) -> dict:
+    """Total free coordinates of one encoded representative, read back
+    through the summand offsets and the per-summand coordinate index."""
+    offsets = dict(zip(sp.summands, sp.offsets))
+    vec = {}
+    for desc, tid, coeffs in rep:
+        desc = tuple(desc)
+        if desc[0] == "bi":
+            pos = bicomplex_space(G, desc[1], desc[2]).pf.pos
+        else:
+            pos = pent_space(G, desc[1]).pos
+        t = sc.decode_id(tid)
+        for b, c in enumerate(coeffs):
+            c = sc.decode_scalar(c)
+            if c:
+                vec[offsets[desc] + pos[(t, b)]] = c
+    return vec
+
+
+def test_cohomology_representatives_decode_to_normalized_cocycles():
+    sel = ComplexSelection("unit")
+    decoded = 0
+    for model, field_text in (("z2-fiber", "q"), ("z2-sign", "p=3")):
+        _, doc = cli.run_export(model, field_text)
+        text = sc.dumps(doc)
+        code, out = cli.run_cohomology(text, "unit", None, 2)
+        assert code == cli.EXIT_OK
+        assert [r["degree"] for r in out["results"]] == [1, 2]
+        G = sc.load_structure(text)
+        K = G.base.field
+        for r in out["results"]:
+            q = r["degree"]
+            sp = total_space(G, sel, q)
+            got = [_decode_representative(G, sp, rep)
+                   for rep in r["representatives"]]
+            # triples come in coordinate order: summands, then tuples
+            assert all(list(vec) == sorted(vec) for vec in got)
+            want = [normalize_leading(K, v).entries
+                    for v in cohomology(G, sel, q)["representatives"]]
+            assert got == want, (model, field_text, q)
+            decoded += len(got)
+    assert decoded == 2
 
 
 def test_cohomology_cap_exits_3(fiber2_text):

@@ -123,7 +123,7 @@ def test_gauge_shift_equals_total_differential(request):
         sign = expected_sign.get(kind, 1)
         for wb in wsp.basis:
             w = witness_from_vector(G, kind, wb)
-            shift = equivalence_shift(G, w, verify=True)
+            shift = equivalence_shift(G, w)
             got = vector_from_deformation(G, kind, shift)
             want = Dprev.mul_vector(wb).entries
             if sign == -1:
@@ -289,6 +289,16 @@ print(raised(lambda: dm.brute_force_classes(G, "tens")))
 kernel_basis = pf.kernel_basis
 pf.kernel_basis = lambda M: kernel_basis(M) * 2
 print(raised(lambda: pf._cohomology_core(K, [], SparseMatrix(1, 2, K))))
+pf.kernel_basis = kernel_basis
+
+import graycohom.defcomplex as dc
+sel = dc.ComplexSelection("unit")
+D1 = dc.total_differential(G, sel, 1)
+b = next(v for v in dc.total_space(G, sel, 1).basis
+         if not D1.mul_vector(v).is_zero())
+D2 = dc.total_differential(G, sel, 2)   # the cached matrix
+D2.add_to(0, min(D1.mul_vector(b).entries), K.one())
+print(raised(lambda: dc.assemble_complex(G, sel)))
 """
 
 
@@ -305,4 +315,19 @@ def test_consistency_checks_survive_python_O():
         text=True, timeout=120, check=True).stdout.splitlines()
     assert out == ["4 enumerated cocycles, expected 2",
                    "1 classes of 2^1 do not cover 4 cocycles",
-                   "2 representatives for dimension 4"]
+                   "2 representatives for dimension 4",
+                   "differential does not square to zero at degree 1"]
+
+
+def test_library_has_no_assert_statements():
+    """Library checks raise explicitly, so python -O cannot remove them."""
+    import ast
+    import pathlib
+
+    import graycohom
+    found = []
+    for path in sorted(pathlib.Path(graycohom.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, found
