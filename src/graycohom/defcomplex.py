@@ -22,7 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactlinalg import SparseMatrix, Vector, kernel_basis, vstack
-from .gray import GraySemigroup, PadOps, merge_to_single, tensor_power
+from .gray import (
+    GraySemigroup,
+    PadOps,
+    merge_to_single,
+    per_structure,
+    tensor_power,
+)
 from .pfcomplex import (
     CapExceeded,
     CochainSpace,
@@ -40,12 +46,6 @@ _PF_CAP = 8   # inner pseudofunctorial degrees are bounded by the total cap
 
 SELECTION_KINDS = ("tens_ass", "ass", "tens", "pent_restricted",
                    "pent_general", "unit")
-
-
-def _cache(G: GraySemigroup) -> dict:
-    if not hasattr(G, "_defcomplex_cache"):
-        G._defcomplex_cache = {}
-    return G._defcomplex_cache
 
 
 # ----- bicomplex spaces -------------------------------------------------
@@ -103,34 +103,34 @@ def identity_slot_coordinates(G: GraySemigroup, pf: CochainSpace):
     return out
 
 
+@per_structure
+def _pf_space(G: GraySemigroup, m: int, n: int) -> CochainSpace:
+    """X^{m,n} without the identity-slot condition, shared by both
+    flavours of bicomplex_space."""
+    return pf_cochain_basis(tensor_power(G, n + 1), m + 1, cap=_PF_CAP)
+
+
+@per_structure
 def bicomplex_space(G: GraySemigroup, m: int, n: int,
                     special: bool = False) -> BicomplexSpace:
-    key = ("bi", m, n, special)
-    cache = _cache(G)
-    if key in cache:
-        return cache[key]
-    pf_key = ("pf", m, n)
-    pf = cache.get(pf_key)
-    if pf is None:
-        F = tensor_power(G, n + 1)
-        pf = cache[pf_key] = pf_cochain_basis(F, m + 1, cap=_PF_CAP)
-    space = BicomplexSpace(G, m, n, special, pf)
-    cache[key] = space
-    return space
+    return BicomplexSpace(G, m, n, special, _pf_space(G, m, n))
 
 
+@per_structure
 def delta_h_matrix(G: GraySemigroup, m: int, n: int) -> SparseMatrix:
     """Matrix of delta_h: X^{m,n} -> X^{m+1,n} on free coordinates."""
-    key = ("dh", m, n)
-    cache = _cache(G)
-    if key not in cache:
-        F = tensor_power(G, n + 1)
-        sp = bicomplex_space(G, m, n).pf
-        sp1 = bicomplex_space(G, m + 1, n).pf
-        cache[key] = delta_pf_matrix(F, sp, sp1)
-    return cache[key]
+    return delta_pf_matrix(tensor_power(G, n + 1), _pf_space(G, m, n),
+                           _pf_space(G, m + 1, n))
 
 
+@per_structure
+def _pad_ops2(G: GraySemigroup) -> PadOps:
+    """Padding operations of the two-variable tensor; their merge cache
+    is shared by every delta_v_matrix of G."""
+    return PadOps(tensor_power(G, 2))
+
+
+@per_structure
 def delta_v_matrix(G: GraySemigroup, m: int, n: int) -> SparseMatrix:
     """Matrix of delta_v: X^{m,n} -> X^{m,n+1} on free coordinates.
 
@@ -158,17 +158,11 @@ def delta_v_matrix(G: GraySemigroup, m: int, n: int) -> SparseMatrix:
     letter's input letters and pairs are listed once, so the per-term
     lookups hash tuples of small ints.
     """
-    key = ("dv", m, n)
-    cache = _cache(G)
-    if key in cache:
-        return cache[key]
     C = G.base
     K = C.field
     sp_in = bicomplex_space(G, m, n).pf
     sp_out = bicomplex_space(G, m, n + 1).pf
-    ops2 = cache.get("ops2")
-    if ops2 is None:
-        ops2 = cache["ops2"] = PadOps(tensor_power(G, 2))
+    ops2 = _pad_ops2(G)
     c = n + 2  # columns of the output letters
     ones = (1,) * (m + 1)
     dom = sp_out.F.dom
@@ -252,9 +246,7 @@ def delta_v_matrix(G: GraySemigroup, m: int, n: int) -> SparseMatrix:
                 op = ops[op_key] = operator(j, pair_key, pairs, whiskered,
                                             src, tgt)
             accumulate(acc, K.add, row0, col0, op)
-    M = matrix_from_entries(sp_out.dim_free, sp_in.dim_free, K, acc)
-    cache[key] = M
-    return M
+    return matrix_from_entries(sp_out.dim_free, sp_in.dim_free, K, acc)
 
 
 # ----- pentagonator spaces ----------------------------------------------
@@ -304,12 +296,9 @@ def _object_tuples(G: GraySemigroup, k: int):
             itertools.product(sorted(G.base.objects), repeat=k)]
 
 
+@per_structure
 def pent_space(G: GraySemigroup, degree: int,
                restricted: bool = False) -> PentSpace:
-    key = ("pent", degree, restricted)
-    cache = _cache(G)
-    if key in cache:
-        return cache[key]
     C = G.base
     K = C.field
     space = PentSpace(G, degree, [], [], {}, {}, SparseMatrix(0, 0, K), [])
@@ -327,10 +316,10 @@ def pent_space(G: GraySemigroup, degree: int,
     else:
         space.constraints = SparseMatrix(0, space.dim_free, K)
     space.basis = kernel_basis(space.constraints)
-    cache[key] = space
     return space
 
 
+@per_structure
 def delta_pent_matrix(G: GraySemigroup, degree: int) -> SparseMatrix:
     """Matrix of delta_pent: degree -> degree + 1 (free coordinates).  In
     the Gray case all paddings are identities and the differential is the
@@ -341,10 +330,6 @@ def delta_pent_matrix(G: GraySemigroup, degree: int) -> SparseMatrix:
     object (whiskered on the right).  Its matrix on the fiber of the input
     tuple is keyed by j, the whiskering object and the identity 1-cell of
     the input tuple, and computed once per key."""
-    key = ("dpent", degree)
-    cache = _cache(G)
-    if key in cache:
-        return cache[key]
     C = G.base
     K = C.field
     sp_in = pent_space(G, degree)
@@ -381,11 +366,10 @@ def delta_pent_matrix(G: GraySemigroup, degree: int) -> SparseMatrix:
             add_term(row0, T[:i - 1] + (G.tobj(T[i - 1], T[i]),) + T[i + 1:],
                      i, None)
         add_term(row0, T[:-1], k, T[-1])
-    M = cache[key] = matrix_from_entries(sp_out.dim_free, sp_in.dim_free, K,
-                                         acc)
-    return M
+    return matrix_from_entries(sp_out.dim_free, sp_in.dim_free, K, acc)
 
 
+@per_structure
 def phi_matrix(G: GraySemigroup, degree: int) -> SparseMatrix:
     """Chain map phi: pentagonator degree d -> bicomplex bidegree (0, d):
     (phi n)(f) = n_{targets} o 1_{(x)f} - 1_{(x)f} o n_{sources}.
@@ -393,10 +377,6 @@ def phi_matrix(G: GraySemigroup, degree: int) -> SparseMatrix:
     Each of the two terms is keyed by its sign, the whiskering cell (x)f
     and the identity 1-cell of its object tuple, and computed once per
     key."""
-    key = ("phi", degree)
-    cache = _cache(G)
-    if key in cache:
-        return cache[key]
     C = G.base
     K = C.field
     sp_in = pent_space(G, degree)
@@ -419,9 +399,7 @@ def phi_matrix(G: GraySemigroup, degree: int) -> SparseMatrix:
                         else (lambda val: C.hcomp(unit, val)))
                 op = ops[op_key] = term_operator(C, e, e, sign, post)
             accumulate(acc, K.add, slot[0], sp_in.pos[(T, 0)], op)
-    M = cache[key] = matrix_from_entries(sp_out.dim_free, sp_in.dim_free, K,
-                                         acc)
-    return M
+    return matrix_from_entries(sp_out.dim_free, sp_in.dim_free, K, acc)
 
 
 # ----- total complexes --------------------------------------------------
@@ -541,36 +519,27 @@ def _summand_constraints(G: GraySemigroup, kind: str, desc) -> SparseMatrix:
     return pent_space(G, d, restricted=(kind == "pent_restricted")).constraints
 
 
+@per_structure
 def _summand_kernel(G: GraySemigroup, kind: str, desc):
-    """Kernel basis of one summand's constraints, shared across selections
-    imposing the same conditions on that summand."""
-    if desc[0] == "bi":
-        variant = kind if kind in ("ass", "tens") else "plain"
-        if variant == "plain":
-            return bicomplex_space(G, desc[1], desc[2], special=True).basis
-    else:
-        variant = "restricted" if kind == "pent_restricted" else "plain"
-        return pent_space(G, desc[1], restricted=(variant == "restricted")).basis
-    key = ("sumker", variant, desc)
-    cache = _cache(G)
-    if key not in cache:
-        cache[key] = kernel_basis(_summand_constraints(G, kind, desc))
-    return cache[key]
+    """Kernel basis of one summand's constraints under selection kind;
+    where kind adds no condition it is the summand space's own basis."""
+    if desc[0] == "pent":
+        return pent_space(G, desc[1],
+                          restricted=(kind == "pent_restricted")).basis
+    if kind in ("ass", "tens"):
+        return kernel_basis(_summand_constraints(G, kind, desc))
+    return bicomplex_space(G, desc[1], desc[2], special=True).basis
 
 
+@per_structure
 def total_space(G: GraySemigroup, sel: ComplexSelection, q: int) -> TotalSpace:
-    key = ("total", sel.kind, q)
-    cache = _cache(G)
-    if key in cache:
-        return cache[key]
     summands = _summands(sel.kind, q)
     offsets = []
     dim = 0
     for desc in summands:
         offsets.append(dim)
         dim += _summand_dim(G, desc)
-    out = cache[key] = TotalSpace(G, sel.kind, q, summands, offsets, dim)
-    return out
+    return TotalSpace(G, sel.kind, q, summands, offsets, dim)
 
 
 def _blocks(G: GraySemigroup, kind: str, q: int):
@@ -607,12 +576,9 @@ def _blocks(G: GraySemigroup, kind: str, q: int):
     return blocks
 
 
+@per_structure
 def total_differential(G: GraySemigroup, sel: ComplexSelection,
                        q: int) -> SparseMatrix:
-    key = ("tdiff", sel.kind, q)
-    cache = _cache(G)
-    if key in cache:
-        return cache[key]
     K = G.base.field
     src = total_space(G, sel, q)
     tgt = total_space(G, sel, q + 1)
@@ -626,8 +592,7 @@ def total_differential(G: GraySemigroup, sel: ComplexSelection,
         accumulate(acc, K.add, to, so,
                    [(i, j, K.mul(scalar, v))
                     for (i, j), v in block.entries.items()])
-    M = cache[key] = matrix_from_entries(tgt.dim_free, src.dim_free, K, acc)
-    return M
+    return matrix_from_entries(tgt.dim_free, src.dim_free, K, acc)
 
 
 def assemble_complex(G: GraySemigroup, sel: ComplexSelection):

@@ -32,8 +32,10 @@ from .exactlinalg import (
     from_columns,
     rank,
     solve_in_image,
+    solve_in_span,
+    vec_combine,
 )
-from .gray import GraySemigroup
+from .gray import GraySemigroup, per_structure
 from .twocat import TwoMorphism, ValidationReport
 
 DEFAULT_ENUM_BOUND = 2 ** 20
@@ -581,10 +583,9 @@ class _StructuralSystem:
         return out
 
 
+@per_structure
 def _structural_system(G: GraySemigroup) -> _StructuralSystem:
-    if not hasattr(G, "_structural_system"):
-        G._structural_system = _StructuralSystem(G)
-    return G._structural_system
+    return _StructuralSystem(G)
 
 
 def check_structural(G: GraySemigroup,
@@ -810,10 +811,9 @@ class _EquivalenceSystem:
         return fn
 
 
+@per_structure
 def _equivalence_system(G: GraySemigroup) -> _EquivalenceSystem:
-    if not hasattr(G, "_equivalence_system"):
-        G._equivalence_system = _EquivalenceSystem(G)
-    return G._equivalence_system
+    return _EquivalenceSystem(G)
 
 
 def check_equivalence(G: GraySemigroup, d1: FirstOrderDeformation,
@@ -835,92 +835,40 @@ def check_equivalence(G: GraySemigroup, d1: FirstOrderDeformation,
 # ----- gauge shift of the zero deformation ------------------------------
 
 
+# the transfer equations that determine each family of the gauge shift,
+# with the sign of that family's entry in the equation's residual
+_SHIFT_FAMILIES = {
+    "tensor-transfer": ("tensorator1", -1),
+    "associator-transfer": ("associator1", 1),
+    "pentagon-transfer": ("pentagonator1", 1),
+}
+
+
 def equivalence_shift(G: GraySemigroup,
                       w: EquivalenceWitness) -> FirstOrderDeformation:
     """The unique deformation the zero deformation is carried into by the
-    gauge witness w (solved from the transfer equations; linear in w).
-    The result is re-checked against the literal equations through
-    check_equivalence."""
+    gauge witness w (linear in w).
+
+    Each transfer equation is linear in its own entry of the target
+    deformation, with coefficient -1 (tensorator) or +1 (associator,
+    pentagonator), and reads only the families before it.  So evaluating
+    its residual with that entry still zero gives the entry: the residual
+    itself for the tensorator, minus it for the other two.  The system
+    lists the equations family by family in that order.  The result is
+    re-checked against the literal equations through check_equivalence."""
     rep = witness_shapes(G, w)
     if not rep.ok:
         raise ValueError("; ".join(rep.structural_errors))
     C = G.base
-    idc = C.identity_cell
-    ctx = _TransferContext(G, zero_deformation(), zero_deformation(), w)
     d = FirstOrderDeformation()
-    cells = sorted(C.cell_src)
-    objs = sorted(C.objects)
-    comp = [(fp, f) for fp in cells for f in cells
-            if C.cell_tgt[f] == C.cell_src[fp]]
-
-    for (fp, f) in comp:
-        for (gp, g) in comp:
-            t0 = G.tensorator(fp, gp, f, g)
-            val = _sum2(C, [
-                C.vcomp(ctx.psi(C.compose(fp, f), C.compose(gp, g)), t0),
-                C.neg2(C.vcomp(t0, C.hcomp(ctx.psi(fp, gp),
-                                           C.id2(G.tcell(f, g))))),
-                C.neg2(C.vcomp(t0, C.hcomp(C.id2(G.tcell(fp, gp)),
-                                           ctx.psi(f, g)))),
-            ])
-            if not C.is_zero2(val):
-                d.tensorator1[((fp, gp), (f, g))] = val
-
-    def t2s(pp, p):
-        return _tens1(G, d, pp, p)
-
-    for (f, g, h) in itertools.product(cells, repeat=3):
-        X, Y, Z = (C.cell_src[c] for c in (f, g, h))
-        Xp, Yp, Zp = (C.cell_tgt[c] for c in (f, g, h))
-        fg = G.tcell(f, g)
-        gh = G.tcell(g, h)
-        fgh = G.tcell(fg, h)
-        val = _sum2(C, [
-            C.hcomp(ctx.omega((Xp, Yp, Zp)), C.id2(fgh)),
-            C.neg2(t2s((idc[Xp], idc[G.tobj(Yp, Zp)]), (f, gh))),
-            G.tensor2(C.id2(f), ctx.psi(g, h)),
-            t2s((f, gh), (idc[X], idc[G.tobj(Y, Z)])),
-            ctx.psi(f, gh),
-            t2s((idc[G.tobj(Xp, Yp)], idc[Zp]), (fg, h)),
-            C.neg2(G.tensor2(ctx.psi(f, g), C.id2(h))),
-            C.neg2(t2s((fg, h), (idc[G.tobj(X, Y)], idc[Z]))),
-            C.neg2(ctx.psi(fg, h)),
-            C.neg2(C.hcomp(C.id2(fgh), ctx.omega((X, Y, Z)))),
-        ])
+    ctx = _TransferContext(G, zero_deformation(), d, w)
+    for name, key, fn in _equivalence_system(G).instances:
+        if name not in _SHIFT_FAMILIES:
+            continue
+        family, sign = _SHIFT_FAMILIES[name]
+        val = fn(ctx)
         if not C.is_zero2(val):
-            d.associator1[(f, g, h)] = val
-
-    def a2s(t):
-        return _ass1(G, d, *t)
-
-    for T4 in itertools.product(objs, repeat=4):
-        X, Y, Z, T = T4
-        XY = G.tobj(X, Y)
-        YZ = G.tobj(Y, Z)
-        ZT = G.tobj(Z, T)
-        XYZ = G.tobj(XY, Z)
-        YZT = G.tobj(YZ, T)
-        eXY_ZT = ((idc[XY], idc[ZT]), (idc[XY], idc[ZT]))
-        lrest = _sum2(C, [
-            G.tensor2(ctx.omega((X, Y, Z)), C.id2(idc[T])),
-            ctx.psi(idc[XYZ], idc[T]),
-            C.neg2(a2s((idc[X], idc[YZ], idc[T]))),
-            ctx.omega((X, YZ, T)),
-            G.tensor2(C.id2(idc[X]), ctx.omega((Y, Z, T))),
-            ctx.psi(idc[X], idc[YZT]),
-        ])
-        rrest = _sum2(C, [
-            ctx.omega((XY, Z, T)),
-            C.neg2(G.tensor2(ctx.psi(idc[X], idc[Y]), C.id2(idc[ZT]))),
-            G.tensor2(C.id2(idc[XY]), ctx.psi(idc[Z], idc[T])),
-            t2s(*eXY_ZT),
-            C.neg2(a2s((idc[X], idc[Y], idc[ZT]))),
-            ctx.omega((X, Y, ZT)),
-        ])
-        val = _sub2(C, rrest, lrest)
-        if not C.is_zero2(val):
-            d.pentagonator1[T4] = val
-
+            getattr(d, family)[key] = C.neg2(val) if sign == 1 else val
     out = check_equivalence(G, zero_deformation(), d, w)
     if not out.ok:
         raise AssertionError(
@@ -1035,36 +983,6 @@ def vector_from_witness(G: GraySemigroup, kind: str,
         {"psi1": w.psi1, "omega1": w.omega1})
 
 
-# ----- vector arithmetic helpers ----------------------------------------
-
-
-def _vec_sub(K, a: Vector, b: Vector) -> Vector:
-    entries = dict(a.entries)
-    for i, v in b.entries.items():
-        x = K.sub(entries.get(i, K.zero()), v)
-        if K.is_zero(x):
-            entries.pop(i, None)
-        else:
-            entries[i] = x
-    return Vector(a.length, entries)
-
-
-def _vec_combine(K, basis: list, coeffs, length: int | None = None) -> Vector:
-    if length is None:
-        length = basis[0].length if basis else 0
-    entries: dict = {}
-    for c, b in zip(coeffs, basis):
-        if K.is_zero(c):
-            continue
-        for i, v in b.entries.items():
-            x = K.add(entries.get(i, K.zero()), K.mul(c, v))
-            if K.is_zero(x):
-                entries.pop(i, None)
-            else:
-                entries[i] = x
-    return Vector(length, entries)
-
-
 # ----- witness search ---------------------------------------------------
 
 
@@ -1084,18 +1002,12 @@ def find_equivalence(G: GraySemigroup, d1: FirstOrderDeformation,
     sel = ComplexSelection(kind)
     q = candidate_degree(kind)
     K = G.base.field
-    target = _vec_sub(K, vector_from_deformation(G, kind, d2),
-                      vector_from_deformation(G, kind, d1))
-    wsp = total_space(G, sel, q - 1)
-    D = total_differential(G, sel, q - 1)
-    cols = [D.mul_vector(b) for b in wsp.basis]
-    sol = solve_in_image(from_columns(cols, target.length, K), target)
-    if sol is None:
+    v1, v2 = (vector_from_deformation(G, kind, d) for d in (d1, d2))
+    target = vec_combine(K, [v2, v1], [K.one(), K.neg(K.one())], v1.length)
+    wvec = solve_in_span(total_differential(G, sel, q - 1),
+                         total_space(G, sel, q - 1).basis, target)
+    if wvec is None:
         return None
-    wvec = _vec_combine(K, wsp.basis,
-                        [sol.entries.get(j, K.zero())
-                         for j in range(len(wsp.basis))],
-                        length=wsp.dim_free)
     w = witness_from_vector(G, kind, wvec)
     rep = check_equivalence(G, d1, d2, w)
     if not rep.ok:
@@ -1142,35 +1054,15 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
 
     def dfv(coeff_tuple):
         return deformation_from_vector(
-            G, kind, _vec_combine(K, basis, coeff_tuple,
-                                  length=sp.dim_free))
+            G, kind, vec_combine(K, basis, coeff_tuple, sp.dim_free))
 
     cols = []
     for b in basis:
         res = sys.residual_list(deformation_from_vector(G, kind, b))
         cols.append({r: v for r, v in enumerate(res) if v})
 
-    def lin_residual(coeff_tuple):
-        acc: dict = {}
-        for c, col in zip(coeff_tuple, cols):
-            if c == 0:
-                continue
-            for r, v in col.items():
-                acc[r] = (acc.get(r, 0) + c * v) % p
-        return {r: v for r, v in acc.items() if v}
-
-    # the join key is only honest if the residual really is linear
-    for _ in range(3):
-        coeffs = tuple(rng.randrange(p) for _ in range(nb))
-        direct = sys.residual_list(dfv(coeffs))
-        if {r: v for r, v in enumerate(direct) if v} != lin_residual(coeffs):
-            raise AssertionError(
-                f"the structural residual is not linear at {coeffs}")
-
-    half = nb // 2
-    colsA, colsB = cols[:half], cols[half:]
-
-    def combine(cols_part, assignment):
+    def lin_residual(assignment, cols_part=cols):
+        """Nonzero (row, value) pairs of the residual, rows ascending."""
         acc: dict = {}
         for c, col in zip(assignment, cols_part):
             if c == 0:
@@ -1179,14 +1071,26 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
                 acc[r] = (acc.get(r, 0) + c * v) % p
         return tuple(sorted((r, v) for r, v in acc.items() if v))
 
+    # the join key is only honest if the residual really is linear
+    for _ in range(3):
+        coeffs = tuple(rng.randrange(p) for _ in range(nb))
+        direct = sys.residual_list(dfv(coeffs))
+        if tuple((r, v) for r, v in enumerate(direct) if v) != \
+                lin_residual(coeffs):
+            raise AssertionError(
+                f"the structural residual is not linear at {coeffs}")
+
+    half = nb // 2
+    colsA, colsB = cols[:half], cols[half:]
+
     tableA: dict = {}
     for a in itertools.product(range(p), repeat=half):
-        tableA.setdefault(combine(colsA, a), []).append(a)
+        tableA.setdefault(lin_residual(a, colsA), []).append(a)
 
     Z: list = []
     for btup in itertools.product(range(p), repeat=nb - half):
-        res = combine(colsB, btup)
-        need = tuple(sorted((r, (-v) % p) for r, v in res))
+        res = lin_residual(btup, colsB)
+        need = tuple((r, (-v) % p) for r, v in res)
         for a in tableA.get(need, ()):
             Z.append(a + btup)
     Z.sort()
@@ -1267,8 +1171,7 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
             (z + sum(c * s[j] for c, s in zip(wcoeffs, shift_vectors))) % p
             for j, z in enumerate(base_rep))
         w = witness_from_vector(
-            G, kind, _vec_combine(K, wsp.basis, wcoeffs,
-                                  length=wsp.dim_free))
+            G, kind, vec_combine(K, wsp.basis, wcoeffs, wsp.dim_free))
         if not check_equivalence(G, dfv(base_rep), dfv(other), w).ok:
             raise AssertionError(
                 f"{base_rep} and {other} differ by a shift but the literal "
@@ -1280,8 +1183,7 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
         da, db = dfv(reps[0]), dfv(reps[1])
         for wcoeffs in itertools.product(range(p), repeat=nw):
             w = witness_from_vector(
-                G, kind, _vec_combine(K, wsp.basis, wcoeffs,
-                                      length=wsp.dim_free))
+                G, kind, vec_combine(K, wsp.basis, wcoeffs, wsp.dim_free))
             if check_equivalence(G, da, db, w).ok:
                 raise AssertionError(
                     f"witness {wcoeffs} joins the classes of {reps[0]} "
@@ -1321,9 +1223,6 @@ class ExtendedStructure:
 
     def pentagonator(self, T) -> ECell:
         return self._cells.pent4(T)
-
-    def unit_iso(self, X, Y) -> ECell:
-        return self._E.id(self.G.base.identity_cell[self.G.tobj(X, Y)])
 
     def reduce(self) -> GraySemigroup:
         """Set eps = 0; validate() confirms the lead components coincide

@@ -414,6 +414,33 @@ def normalize_leading(field_: Field, v: Vector) -> Vector:
     return Vector(v.length, {i: field_.mul(inv, x) for i, x in v.entries.items()})
 
 
+def vec_combine(field_: Field, vectors: list, coeffs, length: int) -> Vector:
+    """sum_j coeffs[j] * vectors[j] as a vector of the given length, with
+    zero entries dropped."""
+    entries: dict = {}
+    for c, vec in zip(coeffs, vectors):
+        if field_.is_zero(c):
+            continue
+        for i, v in vec.entries.items():
+            x = field_.add(entries.get(i, field_.zero()), field_.mul(c, v))
+            if field_.is_zero(x):
+                entries.pop(i, None)
+            else:
+                entries[i] = x
+    return Vector(length, entries)
+
+
+def solve_in_span(M: SparseMatrix, basis: list, b: Vector) -> Vector | None:
+    """Some x in the span of basis with M x = b exactly, or None."""
+    K = M.field
+    sol = solve_in_image(
+        from_columns([M.mul_vector(v) for v in basis], M.rows, K), b)
+    if sol is None:
+        return None
+    return vec_combine(K, [basis[j] for j in sol.entries],
+                       sol.entries.values(), M.cols)
+
+
 def solve_in_image(M: SparseMatrix, b: Vector) -> Vector | None:
     """Some x with M x = b exactly, or None if b is not in the image.
 

@@ -10,10 +10,18 @@ with identities, and pseudofunctorial up to an invertible tensorator
 subject to the cubical vanishing conditions.  The module also builds the
 iterated tensor pseudofunctors C^n -> C and the canonical padding
 2-morphisms used by all differentials.
+
+Every table derived from a structure (tensor powers here, cochain spaces
+and differentials in defcomplex, equation systems in deformations) is
+kept in the structure's one dict ``memo``.  A function that derives such
+a table is decorated with ``per_structure``, which keys its value by the
+function and its arguments with defaults applied.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
 
 from .twocat import (
@@ -43,8 +51,7 @@ class GraySemigroup:
         self.tensor1 = dict(tensor1)
         self.tensor2_const = dict(tensor2_const)
         self.tensorator_table = dict(tensorator)
-        self._powers = {}
-        self._power_cats = {}
+        self.memo = {}
 
     # ----- tensor on objects and 1-cells -------------------------------
 
@@ -100,26 +107,41 @@ class GraySemigroup:
     def tensorator(self, fp, gp, f, g) -> TwoMorphism:
         return self.tensorator_table[(fp, gp, f, g)]
 
-    # ----- iterated tensor ---------------------------------------------
 
-    def power_category(self, n: int) -> TwoCategory:
-        """The product 2-category C^n with n-tuple objects and 1-cells."""
-        if n not in self._power_cats:
-            self._power_cats[n] = product_many([self.base] * n)
-        return self._power_cats[n]
+# ----- tables derived from a structure ----------------------------------
 
 
+def per_structure(fn):
+    """Memoise fn(G, ...) in G.memo.  The key is fn with its arguments
+    after G, defaults applied, so a call that spells out a default shares
+    the value of one that leaves it out."""
+    sig = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def memoised(G, *args, **kwargs):
+        bound = sig.bind(G, *args, **kwargs)
+        bound.apply_defaults()
+        key = (fn, bound.args[1:])
+        if key not in G.memo:
+            G.memo[key] = fn(*bound.args)
+        return G.memo[key]
+
+    return memoised
+
+
+# ----- iterated tensor --------------------------------------------------
+
+
+@per_structure
 def tensor_power(G: GraySemigroup, n: int) -> Pseudofunctor:
     """The iterated tensor pseudofunctor C^n -> C (right-nested coherence
-    data).  The left-nested recursion yields the same table; this is
-    asserted entry by entry while building."""
-    if n in G._powers:
-        return G._powers[n]
+    data) on the product 2-category C^n.  The left-nested recursion yields
+    the same table; this is asserted entry by entry while building."""
     if n < 1:
         raise ValueError("tensor power needs n >= 1")
     C = G.base
     K = C.field
-    dom = G.power_category(n)
+    dom = product_many([C] * n)
 
     obj_map = {X: G.tobj_many(X) for X in dom.objects}
     cell_map = {f: G.tcell_many(f) for f in dom.cell_src}
@@ -196,9 +218,7 @@ def tensor_power(G: GraySemigroup, n: int) -> Pseudofunctor:
                     f"tensor power recursions disagree at {key}")
 
     f0 = {X: C.id2(C.identity_cell[obj_map[X]]) for X in dom.objects}
-    F = Pseudofunctor(dom, C, obj_map, cell_map, two_map, fhat, f0)
-    G._powers[n] = F
-    return F
+    return Pseudofunctor(dom, C, obj_map, cell_map, two_map, fhat, f0)
 
 
 # ----- validator --------------------------------------------------------

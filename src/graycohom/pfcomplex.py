@@ -16,9 +16,9 @@ from .exactlinalg import (
     Echelon,
     SparseMatrix,
     Vector,
-    from_columns,
     kernel_basis,
-    solve_in_image,
+    solve_in_span,
+    vec_combine,
     vstack,
 )
 from .gray import PaddedStep, pad
@@ -487,30 +487,11 @@ class PFClassification:
         return fhat1, f01
 
     def equivalent(self, c1: Vector, c2: Vector):
-        """Degree-1 witness xi with delta(xi) = c1 - c2, or None."""
+        """Degree-1 witness xi with delta(xi) = c1 - c2 in the naturality
+        subspace of degree 1, or None."""
         K = self.F.cod.field
-        diff = {}
-        for i in range(c1.length):
-            v = K.sub(c1.entries.get(i, K.zero()), c2.entries.get(i, K.zero()))
-            if not K.is_zero(v):
-                diff[i] = v
-        target = Vector(c1.length, diff)
-        # solve within the naturality subspace of degree 1
-        cols = [self.delta1.mul_vector(b) for b in self.space1.basis]
-        M = from_columns(cols, c1.length, K)
-        sol = solve_in_image(M, target)
-        if sol is None:
-            return None
-        witness = Vector(self.space1.dim_free)
-        for j, c in sol.entries.items():
-            for i, v in self.space1.basis[j].entries.items():
-                cur = witness.entries.get(i, K.zero())
-                s = K.add(cur, K.mul(c, v))
-                if K.is_zero(s):
-                    witness.entries.pop(i, None)
-                else:
-                    witness.entries[i] = s
-        return witness
+        diff = vec_combine(K, [c1, c2], [K.one(), K.neg(K.one())], c1.length)
+        return solve_in_span(self.delta1, self.space1.basis, diff)
 
 
 def classify_pf_deformations(F: Pseudofunctor,

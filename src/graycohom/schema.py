@@ -200,6 +200,30 @@ def _require(doc, typ):
         raise SchemaError(f"expected type {typ!r}, got {doc.get('type')!r}")
 
 
+def _check_hom2_shapes(hom2_dim, id2_coeffs, vcomp_const, hcomp_const):
+    """Every identity 2-cell has hom2Dim(f, f) coefficients, and every
+    structure-constant index pair (j, i) is below the dimensions of the
+    two Hom2 spaces its key names: (f1, f2) and (f, f1) for vcomp, (g, g2)
+    and (f, f2) for hcomp."""
+    def dim(f, f2):
+        return hom2_dim.get((f, f2), 0)
+
+    def check(name, key, consts, dj, di):
+        for j, i in consts:
+            if not (0 <= j < dj and 0 <= i < di):
+                raise SchemaError(f"{name} of {key!r} has index pair {(j, i)}"
+                                  f" outside dimensions {(dj, di)}")
+
+    for f, cs in id2_coeffs.items():
+        if len(cs) != dim(f, f):
+            raise SchemaError(f"id2Coeffs of {f!r} has {len(cs)} entries, "
+                              f"hom2Dim gives {dim(f, f)}")
+    for (f, f1, f2), consts in vcomp_const.items():
+        check("vcompConst", (f, f1, f2), consts, dim(f1, f2), dim(f, f1))
+    for (g, g2, f, f2), consts in hcomp_const.items():
+        check("hcompConst", (g, g2, f, f2), consts, dim(g, g2), dim(f, f2))
+
+
 def _two_category_from_body(doc) -> TwoCategory:
     try:
         field_ = decode_field(doc["field"])
@@ -232,6 +256,7 @@ def _two_category_from_body(doc) -> TwoCategory:
                                     _dec_consts)
     except KeyError as e:
         raise SchemaError(f"missing key {e}") from e
+    _check_hom2_shapes(hom2_dim, id2_coeffs, vcomp_const, hcomp_const)
     return TwoCategory(field_, objects, one_cells, cell_src, cell_tgt,
                        identity_cell, compose1, hom2_dim, id2_coeffs,
                        vcomp_const, hcomp_const)

@@ -66,6 +66,19 @@ def test_validate_malformed_input_exits_2():
         sc.dumps({"schema": sc.SCHEMA, "type": "deformation",
                   "families": []}))
     assert code == cli.EXIT_PARSE
+    # a Hom2 dimension raised above its identity coefficients, and a
+    # structure constant indexing past its Hom2 spaces
+    _, doc = cli.run_export("z2-fiber", "p=3")
+    doc["base"]["hom2Dim"][0][1] = 2
+    _, bad_index = cli.run_export("z2-fiber", "p=3")
+    consts = bad_index["base"]["vcompConst"][0][1]
+    consts[0][0] = [consts[0][0][0] + 1, consts[0][0][1]]
+    for bad in (doc, bad_index):
+        text = sc.dumps(bad)
+        code, out = cli.run_validate(text)
+        assert code == cli.EXIT_PARSE and "error" in out
+        code, out = cli.run_cohomology(text, "unit", None, None)
+        assert code == cli.EXIT_PARSE and "error" in out
 
 
 def test_cohomology_document_shape(fiber2_text):

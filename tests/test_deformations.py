@@ -8,7 +8,11 @@ import pytest
 
 from graycohom.defcomplex import (
     ComplexSelection,
+    SELECTION_KINDS,
+    assemble_complex,
+    bicomplex_space,
     cohomology,
+    pent_space,
     total_differential,
     total_space,
 )
@@ -33,7 +37,7 @@ from graycohom.deformations import (
     zero_deformation,
     zero_witness,
 )
-from graycohom.exactlinalg import QQ, Vector
+from graycohom.exactlinalg import GF, QQ, Vector
 from graycohom.examples import (
     GroupModelSpec,
     cyclic_group,
@@ -331,3 +335,32 @@ def test_library_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_derived_tables_live_in_the_memo_only():
+    """Building complexes, classifying and extending add no attribute to
+    the structure or its base 2-category; every derived table goes into
+    G.memo, where a spelled-out default shares the value of a left-out
+    one."""
+    G = group_model(GroupModelSpec(
+        trivial_group(), cyclic_group(2),
+        trivial_bicharacter(cyclic_group(2), GF(2)), GF(2)))
+    names, base_names = set(vars(G)), set(vars(G.base))
+    for kind in SELECTION_KINDS:
+        sel = ComplexSelection(kind)
+        assemble_complex(G, sel)
+        for q in range(1, sel.qmax + 1):
+            cohomology(G, sel, q)
+    brute_force_classes(G, "tens")
+    coh = cohomology(G, ComplexSelection("tens"), 2)
+    d = deformation_from_vector(G, "tens", coh["representatives"][0])
+    assert check_structural(G, d).ok
+    wsp = total_space(G, ComplexSelection("unit"), 1)
+    equivalence_shift(G, witness_from_vector(G, "unit", wsp.basis[0]))
+    assert extend_and_deform(G, d).validate().ok
+    assert set(vars(G)) == names
+    assert set(vars(G.base)) == base_names
+    assert G.memo
+    assert pent_space(G, 2) is pent_space(G, 2, restricted=False)
+    assert bicomplex_space(G, 1, 1) is bicomplex_space(G, 1, 1, special=False)
+    assert bicomplex_space(G, 1, 1) is bicomplex_space(G, 1, 1, False)
