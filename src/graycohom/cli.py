@@ -106,6 +106,24 @@ def _encode_representative(G: GraySemigroup, sel: ComplexSelection, q: int,
 # ----- command logic ----------------------------------------------------
 
 
+def _on_gray(text: str, command, *args):
+    """Parse and validate a Gray semigroup document, then return
+    command(G, *args).  G.memo is cleared on the way out: the tables it
+    holds refer back to G, so without that G would outlive the command
+    until the next full garbage collection."""
+    try:
+        G = _load_gray(text)
+    except sc.SchemaError as e:
+        return EXIT_PARSE, {"error": str(e)}
+    try:
+        rep = validate_gray(G)
+        if not rep.ok:
+            return EXIT_VALIDATION, _report_doc(rep)
+        return command(G, *args)
+    finally:
+        G.memo.clear()
+
+
 def run_validate(text: str):
     try:
         obj = sc.load_structure(text)
@@ -125,13 +143,11 @@ def run_validate(text: str):
 
 def run_cohomology(text: str, selection: str, degree: int | None,
                    max_degree: int | None):
-    try:
-        G = _load_gray(text)
-    except sc.SchemaError as e:
-        return EXIT_PARSE, {"error": str(e)}
-    rep = validate_gray(G)
-    if not rep.ok:
-        return EXIT_VALIDATION, _report_doc(rep)
+    return _on_gray(text, _cohomology, selection, degree, max_degree)
+
+
+def _cohomology(G: GraySemigroup, selection: str, degree: int | None,
+                max_degree: int | None):
     sel = ComplexSelection(selection)
     if degree is not None:
         degrees = [degree]
@@ -160,13 +176,10 @@ def run_cohomology(text: str, selection: str, degree: int | None,
 
 
 def run_classify(text: str, mode: str):
-    try:
-        G = _load_gray(text)
-    except sc.SchemaError as e:
-        return EXIT_PARSE, {"error": str(e)}
-    rep = validate_gray(G)
-    if not rep.ok:
-        return EXIT_VALIDATION, _report_doc(rep)
+    return _on_gray(text, _classify, mode)
+
+
+def _classify(G: GraySemigroup, mode: str):
     kind = _MODE_TO_KIND[mode]
     sel = ComplexSelection(kind)
     q = candidate_degree(kind)
@@ -198,13 +211,10 @@ def run_classify(text: str, mode: str):
 
 
 def run_oracle(text: str, mode: str, bound: int = DEFAULT_ENUM_BOUND):
-    try:
-        G = _load_gray(text)
-    except sc.SchemaError as e:
-        return EXIT_PARSE, {"error": str(e)}
-    rep = validate_gray(G)
-    if not rep.ok:
-        return EXIT_VALIDATION, _report_doc(rep)
+    return _on_gray(text, _oracle, mode, bound)
+
+
+def _oracle(G: GraySemigroup, mode: str, bound: int):
     K = G.base.field
     if not isinstance(K, PrimeField):
         return EXIT_PARSE, {

@@ -13,6 +13,7 @@ are compared against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
@@ -109,25 +110,55 @@ class ECell:
     eps: TwoMorphism
 
 
+def _is_zero(t: TwoMorphism) -> bool:
+    """Every coefficient is zero.  Scalars are ints or Fractions, whose
+    zero is falsy; an unreduced residue such as p counts as nonzero, which
+    only costs the product it could have skipped."""
+    return not any(t.coeffs)
+
+
 class _Eps:
-    """Composition algebra of eps-pairs over a fixed Gray semigroup."""
+    """Composition algebra of eps-pairs over a fixed Gray semigroup.
+
+    The eps part of a product of two eps-pairs is the sum of two bilinear
+    products; one whose eps factor is zero is left out, which is exact.
+    Zero eps parts are shared, one per endpoint pair."""
 
     def __init__(self, G: GraySemigroup):
         self.G = G
         self.C = G.base
         self._inv: dict = {}
+        self._zeros: dict = {}
+        self._ids: dict = {}
+
+    def zero(self, src, tgt) -> TwoMorphism:
+        z = self._zeros.get((src, tgt))
+        if z is None:
+            z = self._zeros[(src, tgt)] = self.C.zero2(src, tgt)
+        return z
 
     def lift(self, t: TwoMorphism) -> ECell:
-        return ECell(t, self.C.zero2(t.src, t.tgt))
+        return ECell(t, self.zero(t.src, t.tgt))
 
     def id(self, cell) -> ECell:
-        return self.lift(self.C.id2(cell))
+        e = self._ids.get(cell)
+        if e is None:
+            e = self._ids[cell] = self.lift(self.C.id2(cell))
+        return e
+
+    def _eps_part(self, op, a: ECell, b: ECell, lead) -> TwoMorphism:
+        """op(a.eps, b.lead) + op(a.lead, b.eps) for a bilinear op."""
+        if _is_zero(a.eps):
+            if _is_zero(b.eps):
+                return self.zero(lead.src, lead.tgt)
+            return op(a.lead, b.eps)
+        if _is_zero(b.eps):
+            return op(a.eps, b.lead)
+        return self.C.add2(op(a.eps, b.lead), op(a.lead, b.eps))
 
     def vcomp(self, a2: ECell, a1: ECell) -> ECell:
-        C = self.C
-        return ECell(
-            C.vcomp(a2.lead, a1.lead),
-            C.add2(C.vcomp(a2.eps, a1.lead), C.vcomp(a2.lead, a1.eps)))
+        lead = self.C.vcomp(a2.lead, a1.lead)
+        return ECell(lead, self._eps_part(self.C.vcomp, a2, a1, lead))
 
     def vcomp_many(self, terms) -> ECell:
         terms = list(terms)
@@ -137,23 +168,21 @@ class _Eps:
         return out
 
     def hcomp(self, b: ECell, a: ECell) -> ECell:
-        C = self.C
-        return ECell(
-            C.hcomp(b.lead, a.lead),
-            C.add2(C.hcomp(b.eps, a.lead), C.hcomp(b.lead, a.eps)))
+        lead = self.C.hcomp(b.lead, a.lead)
+        return ECell(lead, self._eps_part(self.C.hcomp, b, a, lead))
 
     def tensor2(self, a: ECell, b: ECell) -> ECell:
-        G, C = self.G, self.C
-        return ECell(
-            G.tensor2(a.lead, b.lead),
-            C.add2(G.tensor2(a.eps, b.lead), G.tensor2(a.lead, b.eps)))
+        lead = self.G.tensor2(a.lead, b.lead)
+        return ECell(lead, self._eps_part(self.G.tensor2, a, b, lead))
 
     def invert(self, a: ECell) -> ECell:
+        C = self.C
         l = self._inv.get(a.lead)
         if l is None:
-            l = self._inv[a.lead] = self.C.invert2(a.lead)
-        eps = self.C.neg2(self.C.vcomp(self.C.vcomp(l, a.eps), l))
-        return ECell(l, eps)
+            l = self._inv[a.lead] = C.invert2(a.lead)
+        if _is_zero(a.eps):
+            return ECell(l, self.zero(l.src, l.tgt))
+        return ECell(l, C.neg2(C.vcomp(C.vcomp(l, a.eps), l)))
 
     def lunit(self, t: ECell) -> ECell:
         """Whisker on the left by the identity of the target object."""
@@ -223,6 +252,27 @@ class _DeformedCells:
     def pent4(self, T) -> ECell:
         e = self.C.identity_cell[self.G.tobj_many(T)]
         return ECell(self.C.id2(e), _pent1(self.G, self.d, T))
+
+
+class _RecordingCells(_DeformedCells):
+    """Deformed cells that note, as (family, key), each entry of the
+    deformation read through them since the last reset of ``reads``."""
+
+    def __init__(self, G: GraySemigroup, d: FirstOrderDeformation):
+        super().__init__(G, d)
+        self.reads: set = set()
+
+    def tens(self, pp, p) -> ECell:
+        self.reads.add(("tensorator1", (pp, p)))
+        return super().tens(pp, p)
+
+    def ass3(self, f, g, h) -> ECell:
+        self.reads.add(("associator1", (f, g, h)))
+        return super().ass3(f, g, h)
+
+    def pent4(self, T) -> ECell:
+        self.reads.add(("pentagonator1", tuple(T)))
+        return super().pent4(T)
 
 
 # ----- shape validation -------------------------------------------------
@@ -311,6 +361,39 @@ def _nonidentity_basis(C, f):
                 continue
             out.append((tau, f2))
     return out
+
+
+# The two paddings below are module functions, not methods: an instance
+# closure that held the system would make a reference cycle through G, and
+# G would then outlive its command until a full garbage collection.
+
+
+def _tpast_left(G, E, dc, X, quad):
+    """Tensor of the identity 1-cell at X with a pentagonator cell,
+    padded by its interchange 2-isomorphisms."""
+    C = G.base
+    idX = C.identity_cell[X]
+    rest = C.identity_cell[G.tobj_many(quad)]
+    return E.vcomp_many([
+        E.invert(dc.tens((idX, rest), (idX, rest))),
+        E.tensor2(E.id(idX), dc.pent4(quad)),
+        dc.tens((idX, rest), (idX, C.compose(rest, rest))),
+        E.hcomp(E.id(G.tcell(idX, rest)),
+                dc.tens((idX, rest), (idX, rest))),
+    ])
+
+
+def _tpast_right(G, E, dc, quad, U):
+    C = G.base
+    idU = C.identity_cell[U]
+    rest = C.identity_cell[G.tobj_many(quad)]
+    return E.vcomp_many([
+        E.invert(dc.tens((rest, idU), (rest, idU))),
+        E.tensor2(dc.pent4(quad), E.id(idU)),
+        dc.tens((rest, idU), (C.compose(rest, rest), idU)),
+        E.hcomp(E.id(G.tcell(rest, idU)),
+                dc.tens((rest, idU), (rest, idU))),
+    ])
 
 
 class _StructuralSystem:
@@ -507,32 +590,6 @@ class _StructuralSystem:
 
         return fn
 
-    def _tpast_left(self, dc, X, quad):
-        """Tensor of the identity 1-cell at X with a pentagonator cell,
-        padded by its interchange 2-isomorphisms."""
-        G, C, E = self.G, self.C, self.E
-        idX = C.identity_cell[X]
-        rest = C.identity_cell[G.tobj_many(quad)]
-        return E.vcomp_many([
-            E.invert(dc.tens((idX, rest), (idX, rest))),
-            E.tensor2(E.id(idX), dc.pent4(quad)),
-            dc.tens((idX, rest), (idX, C.compose(rest, rest))),
-            E.hcomp(E.id(G.tcell(idX, rest)),
-                    dc.tens((idX, rest), (idX, rest))),
-        ])
-
-    def _tpast_right(self, dc, quad, U):
-        G, C, E = self.G, self.C, self.E
-        idU = C.identity_cell[U]
-        rest = C.identity_cell[G.tobj_many(quad)]
-        return E.vcomp_many([
-            E.invert(dc.tens((rest, idU), (rest, idU))),
-            E.tensor2(dc.pent4(quad), E.id(idU)),
-            dc.tens((rest, idU), (C.compose(rest, rest), idU)),
-            E.hcomp(E.id(G.tcell(rest, idU)),
-                    dc.tens((rest, idU), (rest, idU))),
-        ])
-
     def _pent_coh_fn(self, T5):
         G, C, E = self.G, self.C, self.E
         idc = C.identity_cell
@@ -550,13 +607,13 @@ class _StructuralSystem:
                 E.runit(dc.pent4((XY, Z, T, U))),
                 E.lunit(E.invert(dc.ass3(idc[X], idc[Y], idc[ZTU]))),
                 E.runit(E.lunit(dc.pent4((X, Y, ZT, U)))),
-                E.runit(self._tpast_right(dc, (X, Y, Z, T), U)),
+                E.runit(_tpast_right(G, E, dc, (X, Y, Z, T), U)),
             ])
             rhs = E.vcomp_many([
                 E.lunit(dc.pent4((X, Y, Z, TU))),
                 E.runit(dc.ass3(idc[XYZ], idc[T], idc[U])),
                 E.runit(E.lunit(dc.pent4((X, YZ, T, U)))),
-                E.lunit(self._tpast_left(dc, X, (Y, Z, T, U))),
+                E.lunit(_tpast_left(G, E, dc, X, (Y, Z, T, U))),
                 E.runit(E.lunit(dc.ass3(idc[X], idc[YZT], idc[U]))),
             ])
             return lhs, rhs
@@ -581,6 +638,48 @@ class _StructuralSystem:
         for _name, _key, fn in self.instances:
             out.extend(self.residual(fn, dc).coeffs)
         return out
+
+    @functools.cached_property
+    def layout(self):
+        """(offsets, readers): the first residual row of each instance, and
+        for each (family, key) of deformation data the instances that read
+        it.  Built by one literal pass on the zero deformation, which also
+        checks that its residual vanishes.  An instance picks its keys from
+        its own cells, never from the data, so the read sets hold for every
+        deformation."""
+        dc = _RecordingCells(self.G, zero_deformation())
+        offsets, readers = [], {}
+        row = 0
+        for i, (_name, _key, fn) in enumerate(self.instances):
+            dc.reads.clear()
+            res = self.residual(fn, dc)
+            if not _is_zero(res):
+                raise AssertionError(
+                    "the zero deformation has a nonzero residual")
+            offsets.append(row)
+            row += len(res.coeffs)
+            for entry in dc.reads:
+                readers.setdefault(entry, []).append(i)
+        return offsets, readers
+
+    def residual_column(self, d: FirstOrderDeformation) -> dict:
+        """The nonzero entries of residual_list(d) by row.  Only the
+        instances that read an entry of d are evaluated (literally); the
+        residual of every other one is that of the zero deformation,
+        which layout has checked is zero."""
+        offsets, readers = self.layout
+        touched = set()
+        for family in ("tensorator1", "associator1", "pentagonator1"):
+            for key in getattr(d, family):
+                touched.update(readers.get((family, key), ()))
+        dc = _DeformedCells(self.G, d)
+        col = {}
+        for i in sorted(touched):
+            res = self.residual(self.instances[i][2], dc)
+            for k, v in enumerate(res.coeffs):
+                if v:
+                    col[offsets[i] + k] = v
+        return col
 
 
 @per_structure
@@ -810,6 +909,14 @@ class _EquivalenceSystem:
 
         return fn
 
+    def residual_list(self, ctx: _TransferContext) -> list:
+        """All residual coefficients in instance order (linear in the two
+        deformations and the witness together)."""
+        out = []
+        for _name, _key, fn in self.instances:
+            out.extend(fn(ctx).coeffs)
+        return out
+
 
 @per_structure
 def _equivalence_system(G: GraySemigroup) -> _EquivalenceSystem:
@@ -1019,6 +1126,34 @@ def find_equivalence(G: GraySemigroup, d1: FirstOrderDeformation,
 # ----- brute-force classification ---------------------------------------
 
 
+def _combine_columns(p: int, coeffs, cols, start=None) -> tuple:
+    """Nonzero (row, value) pairs of start + sum_j coeffs[j] * cols[j]
+    over F_p, rows ascending; start and the columns are {row: value}."""
+    acc = dict(start or {})
+    for c, col in zip(coeffs, cols):
+        if c == 0:
+            continue
+        for r, v in col.items():
+            acc[r] = (acc.get(r, 0) + c * v) % p
+    return tuple(sorted((r, v) for r, v in acc.items() if v))
+
+
+def _transfer_residual(G: GraySemigroup, d1, d2, w) -> dict:
+    """The literal transfer residual of (d1, d2, w), {row: value}."""
+    res = _equivalence_system(G).residual_list(_TransferContext(G, d1, d2, w))
+    return {r: v for r, v in enumerate(res) if v}
+
+
+def _transfer_columns(G: GraySemigroup, d1, d2, witnesses):
+    """(r0, cols): the literal transfer residual of (d1, d2) at the zero
+    witness, and that of each witness between zero deformations.  The
+    residual is linear in (d1, d2, w) together, so at sum_j c_j
+    witnesses[j] it is r0 + sum_j c_j cols[j]."""
+    zero = zero_deformation()
+    return (_transfer_residual(G, d1, d2, zero_witness()),
+            [_transfer_residual(G, zero, zero, w) for w in witnesses])
+
+
 def brute_force_classes(G: GraySemigroup, kind: str = "unit",
                         bound: int = DEFAULT_ENUM_BOUND) -> dict:
     """Classify first-order deformations of a selection up to gauge
@@ -1026,12 +1161,24 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
 
     Every candidate in the selection's coordinate space is enumerated
     (meet-in-the-middle over the two halves of the basis coefficients,
-    joined on the residual of the structural equations, which is verified
-    to be linear in the candidate and spot-checked against full literal
-    evaluation).  Solutions are partitioned by the gauge shifts of an
-    exhaustively spanned witness space; partition blocks are cross-checked
-    with literal equivalence checks, including a full witness enumeration
-    between two inequivalent representatives when affordable.
+    joined on the residual of the structural equations).  The residual is
+    linear in the candidate, so it is a combination of one column per
+    basis vector.  A column is evaluated literally, but only on the
+    instances that read an entry the basis vector sets; every other
+    instance keeps the residual of the zero deformation, which one full
+    literal pass checks is zero.  Linearity is verified against the full
+    literal residual at three random candidates, and the accept/reject
+    decision against check_structural at three cocycles and three
+    non-cocycles.
+
+    Solutions are partitioned by the gauge shifts of an exhaustively
+    spanned witness space, each shift re-checked literally.  A sampled
+    pair in one class is checked literally to be equivalent.  Between two
+    inequivalent representatives every witness is tried when affordable:
+    the transfer residual is linear too, so it is the literal residual at
+    the zero witness plus a combination of the literal residuals of the
+    witness basis, verified against the full literal residual at three
+    random witnesses.
     """
     C = G.base
     K = C.field
@@ -1049,27 +1196,17 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
             f"{p}^{nb} candidates exceed the enumeration bound {bound}; "
             f"use a smaller model or raise the bound")
     sys = _structural_system(G)
-    if any(x != K.zero() for x in sys.residual_list(zero_deformation())):
-        raise AssertionError("the zero deformation has a nonzero residual")
+    sys.layout   # the read index; raises if the zero deformation fails
 
     def dfv(coeff_tuple):
         return deformation_from_vector(
             G, kind, vec_combine(K, basis, coeff_tuple, sp.dim_free))
 
-    cols = []
-    for b in basis:
-        res = sys.residual_list(deformation_from_vector(G, kind, b))
-        cols.append({r: v for r, v in enumerate(res) if v})
+    cols = [sys.residual_column(deformation_from_vector(G, kind, b))
+            for b in basis]
 
     def lin_residual(assignment, cols_part=cols):
-        """Nonzero (row, value) pairs of the residual, rows ascending."""
-        acc: dict = {}
-        for c, col in zip(assignment, cols_part):
-            if c == 0:
-                continue
-            for r, v in col.items():
-                acc[r] = (acc.get(r, 0) + c * v) % p
-        return tuple(sorted((r, v) for r, v in acc.items() if v))
+        return _combine_columns(p, assignment, cols_part)
 
     # the join key is only honest if the residual really is linear
     for _ in range(3):
@@ -1123,9 +1260,9 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
     # gauge shifts span the coboundaries
     wsp = total_space(G, sel, q - 1)
     cand_mat = from_columns(basis, sp.dim_free, K)
+    witnesses = [witness_from_vector(G, kind, wb) for wb in wsp.basis]
     shift_vectors = []
-    for wb in wsp.basis:
-        w = witness_from_vector(G, kind, wb)
+    for w in witnesses:
         shift = equivalence_shift(G, w)   # verified literally inside
         svec = vector_from_deformation(G, kind, shift)
         coeff = solve_in_image(cand_mat, svec)
@@ -1177,14 +1314,21 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
                 f"{base_rep} and {other} differ by a shift but the literal "
                 f"equivalence check fails")
 
-    # literal cross-class verification: no witness at all works
+    # cross-class verification: no witness at all works
     nw = len(wsp.basis)
     if count > 1 and p ** nw <= WITNESS_SEARCH_LIMIT:
         da, db = dfv(reps[0]), dfv(reps[1])
-        for wcoeffs in itertools.product(range(p), repeat=nw):
+        r0, wcols = _transfer_columns(G, da, db, witnesses)
+        for _ in range(3):
+            wcoeffs = tuple(rng.randrange(p) for _ in range(nw))
             w = witness_from_vector(
                 G, kind, vec_combine(K, wsp.basis, wcoeffs, wsp.dim_free))
-            if check_equivalence(G, da, db, w).ok:
+            if tuple(_transfer_residual(G, da, db, w).items()) != \
+                    _combine_columns(p, wcoeffs, wcols, r0):
+                raise AssertionError(
+                    f"the transfer residual is not linear at {wcoeffs}")
+        for wcoeffs in itertools.product(range(p), repeat=nw):
+            if not _combine_columns(p, wcoeffs, wcols, r0):
                 raise AssertionError(
                     f"witness {wcoeffs} joins the classes of {reps[0]} "
                     f"and {reps[1]}")

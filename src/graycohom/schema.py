@@ -200,28 +200,44 @@ def _require(doc, typ):
         raise SchemaError(f"expected type {typ!r}, got {doc.get('type')!r}")
 
 
-def _check_hom2_shapes(hom2_dim, id2_coeffs, vcomp_const, hcomp_const):
+def _check_consts(name, key, consts, dims, dim_out):
+    """Every index pair of a structure-constant table is below the two
+    input dimensions dims, and every output index below dim_out.  dim_out
+    is None when the output Hom2 space is unknown because a composite is
+    missing, which validation reports."""
+    for pair, vec in consts.items():
+        if not all(0 <= x < d for x, d in zip(pair, dims)):
+            raise SchemaError(f"{name} of {key!r} has index pair {pair}"
+                              f" outside dimensions {dims}")
+        if dim_out is not None:
+            for k in vec:
+                if not 0 <= k < dim_out:
+                    raise SchemaError(f"{name} of {key!r} has output index "
+                                      f"{k} outside dimension {dim_out}")
+
+
+def _check_hom2_shapes(hom2_dim, id2_coeffs, compose1, vcomp_const,
+                       hcomp_const):
     """Every identity 2-cell has hom2Dim(f, f) coefficients, and every
-    structure-constant index pair (j, i) is below the dimensions of the
-    two Hom2 spaces its key names: (f1, f2) and (f, f1) for vcomp, (g, g2)
-    and (f, f2) for hcomp."""
+    structure-constant index fits its Hom2 spaces.  An index pair (j, i)
+    is below the dimensions of (f1, f2) and (f, f1) for vcomp, of (g, g2)
+    and (f, f2) for hcomp; an output index below that of (f, f2) for
+    vcomp, of (g o f, g2 o f2) for hcomp."""
     def dim(f, f2):
         return hom2_dim.get((f, f2), 0)
-
-    def check(name, key, consts, dj, di):
-        for j, i in consts:
-            if not (0 <= j < dj and 0 <= i < di):
-                raise SchemaError(f"{name} of {key!r} has index pair {(j, i)}"
-                                  f" outside dimensions {(dj, di)}")
 
     for f, cs in id2_coeffs.items():
         if len(cs) != dim(f, f):
             raise SchemaError(f"id2Coeffs of {f!r} has {len(cs)} entries, "
                               f"hom2Dim gives {dim(f, f)}")
     for (f, f1, f2), consts in vcomp_const.items():
-        check("vcompConst", (f, f1, f2), consts, dim(f1, f2), dim(f, f1))
+        _check_consts("vcompConst", (f, f1, f2), consts,
+                      (dim(f1, f2), dim(f, f1)), dim(f, f2))
     for (g, g2, f, f2), consts in hcomp_const.items():
-        check("hcompConst", (g, g2, f, f2), consts, dim(g, g2), dim(f, f2))
+        gf, g2f2 = compose1.get((g, f)), compose1.get((g2, f2))
+        _check_consts("hcompConst", (g, g2, f, f2), consts,
+                      (dim(g, g2), dim(f, f2)),
+                      None if gf is None or g2f2 is None else dim(gf, g2f2))
 
 
 def _two_category_from_body(doc) -> TwoCategory:
@@ -256,7 +272,8 @@ def _two_category_from_body(doc) -> TwoCategory:
                                     _dec_consts)
     except KeyError as e:
         raise SchemaError(f"missing key {e}") from e
-    _check_hom2_shapes(hom2_dim, id2_coeffs, vcomp_const, hcomp_const)
+    _check_hom2_shapes(hom2_dim, id2_coeffs, compose1, vcomp_const,
+                       hcomp_const)
     return TwoCategory(field_, objects, one_cells, cell_src, cell_tgt,
                        identity_cell, compose1, hom2_dim, id2_coeffs,
                        vcomp_const, hcomp_const)
@@ -303,8 +320,28 @@ def gray_from_json(doc) -> GraySemigroup:
                                    decode_two_morphism)
     except KeyError as e:
         raise SchemaError(f"missing key {e}") from e
+    _check_tensor_shapes(base, tensor1, tensor2_const, tensorator)
     return GraySemigroup(base, tensor_obj, tensor1, tensor2_const,
                          tensorator)
+
+
+def _check_tensor_shapes(base: TwoCategory, tensor1, tensor2_const,
+                         tensorator):
+    """Every tensor2Const index fits its Hom2 spaces: an index pair (i, j)
+    below the dimensions of (f, f2) and (g, g2), an output index below
+    that of (f (x) g, f2 (x) g2).  Every tensorator entry has as many
+    coefficients as the Hom2 space between its endpoints."""
+    dim = base.dim2
+    for (f, f2, g, g2), consts in tensor2_const.items():
+        fg, f2g2 = tensor1.get((f, g)), tensor1.get((f2, g2))
+        _check_consts("tensor2Const", (f, f2, g, g2), consts,
+                      (dim(f, f2), dim(g, g2)),
+                      None if fg is None or f2g2 is None else dim(fg, f2g2))
+    for key, t in tensorator.items():
+        if len(t.coeffs) != dim(t.src, t.tgt):
+            raise SchemaError(f"tensorator of {key!r} has {len(t.coeffs)} "
+                              f"coefficients, hom2Dim gives "
+                              f"{dim(t.src, t.tgt)}")
 
 
 # ----- deformations and witnesses ---------------------------------------

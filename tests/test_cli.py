@@ -66,14 +66,28 @@ def test_validate_malformed_input_exits_2():
         sc.dumps({"schema": sc.SCHEMA, "type": "deformation",
                   "families": []}))
     assert code == cli.EXIT_PARSE
-    # a Hom2 dimension raised above its identity coefficients, and a
-    # structure constant indexing past its Hom2 spaces
-    _, doc = cli.run_export("z2-fiber", "p=3")
-    doc["base"]["hom2Dim"][0][1] = 2
-    _, bad_index = cli.run_export("z2-fiber", "p=3")
-    consts = bad_index["base"]["vcompConst"][0][1]
-    consts[0][0] = [consts[0][0][0] + 1, consts[0][0][1]]
-    for bad in (doc, bad_index):
+    # a Hom2 dimension raised above its identity coefficients, structure
+    # constants indexing past their input or output Hom2 spaces, and a
+    # tensorator entry longer than its Hom2 space
+    def export():
+        return cli.run_export("z2-fiber", "p=3")[1]
+
+    def first_consts(doc, table):
+        owner = doc if table == "tensor2Const" else doc["base"]
+        return owner[table][0][1]
+
+    bads = [export(), export()]
+    bads[0]["base"]["hom2Dim"][0][1] = 2
+    bads[1]["tensorator"][0][1]["coeffs"].append(0)
+    for table in ("vcompConst", "hcompConst", "tensor2Const"):
+        doc = export()          # an input index pair out of range
+        consts = first_consts(doc, table)
+        consts[0][0] = [consts[0][0][0] + 1, consts[0][0][1]]
+        bads.append(doc)
+        doc = export()          # an output index out of range
+        first_consts(doc, table)[0][1][0][0] += 1
+        bads.append(doc)
+    for bad in bads:
         text = sc.dumps(bad)
         code, out = cli.run_validate(text)
         assert code == cli.EXIT_PARSE and "error" in out
@@ -194,6 +208,33 @@ def test_oracle_guards(fiber2_text):
     _, qdoc = cli.run_export("z2-fiber", "q")
     code, doc = cli.run_oracle(sc.dumps(qdoc), "tens")
     assert code == cli.EXIT_PARSE
+
+
+def test_commands_free_their_structure(fiber2_text):
+    """A command's Gray semigroup is freed when the command returns, not
+    at some later full garbage collection: with the collector off, no
+    structure is left alive after each command."""
+    import gc
+
+    from graycohom.gray import GraySemigroup
+
+    def alive():
+        return sum(isinstance(o, GraySemigroup) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = alive()
+        for mode in ("unit", "pent"):
+            for run, args in (
+                    (cli.run_cohomology, (cli._MODE_TO_KIND[mode], None, 2)),
+                    (cli.run_classify, (mode,)),
+                    (cli.run_oracle, (mode,))):
+                code, _doc = run(fiber2_text, *args)
+                assert code == cli.EXIT_OK
+                assert alive() == before, (run.__name__, mode)
+    finally:
+        gc.enable()
 
 
 def test_export_unknown_field_exits_2():

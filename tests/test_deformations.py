@@ -2,10 +2,14 @@
 against the matrix complexes (the central dictionary), gauge shifts,
 equivalence search, exhaustive classification and epsilon-ring extension."""
 
+import collections
+import itertools
 import random
 
 import pytest
 
+import graycohom.deformations as dm
+from graycohom.cli import EXPORT_MODELS
 from graycohom.defcomplex import (
     ComplexSelection,
     SELECTION_KINDS,
@@ -45,6 +49,7 @@ from graycohom.examples import (
     trivial_bicharacter,
     trivial_group,
 )
+from graycohom.twocat import TwoMorphism
 
 # (fixture name, kinds exercised on it)
 DICTIONARY_CASES = [
@@ -258,6 +263,148 @@ def test_check_equivalence_zero_witness_identity(g_fiber2):
     G = g_fiber2
     assert check_equivalence(G, zero_deformation(), zero_deformation(),
                              zero_witness()).ok
+
+
+def _model(name, field_):
+    return group_model(EXPORT_MODELS[name](field_))
+
+
+@pytest.mark.parametrize("name, p, kinds", [
+    ("z2-base", 2, ORACLE_KINDS),
+    ("z2-fiber", 2, ORACLE_KINDS),
+    ("z2-fiber", 3, ORACLE_KINDS),
+    ("z2-sign", 2, ("tens",)),
+])
+def test_touched_instance_columns_equal_literal_residuals(name, p, kinds):
+    """A column evaluated only on the instances that read the data of a
+    basis vector is the full literal residual of that vector."""
+    G = _model(name, GF(p))
+    sys = dm._structural_system(G)
+    columns = 0
+    for kind in kinds:
+        sp = total_space(G, ComplexSelection(kind), candidate_degree(kind))
+        for b in sp.basis:
+            d = deformation_from_vector(G, kind, b)
+            full = sys.residual_list(d)
+            assert sys.residual_column(d) == {
+                r: v for r, v in enumerate(full) if v}, (kind, b.entries)
+            columns += 1
+    assert columns
+
+
+def test_transfer_combination_equals_literal_residual(g_fiber2):
+    """The cross-class check combines the residual at the zero witness
+    with those of the witness basis; each combination equals the literal
+    transfer residual."""
+    G, kind = g_fiber2, "unit"
+    K = G.base.field
+    out = brute_force_classes(G, kind)
+    da, db = out["representatives"][:2]
+    wsp = total_space(G, ComplexSelection(kind), candidate_degree(kind) - 1)
+    witnesses = [witness_from_vector(G, kind, wb) for wb in wsp.basis]
+    r0, cols = dm._transfer_columns(G, da, db, witnesses)
+    esys = dm._equivalence_system(G)
+
+    def literal(coeffs):
+        w = witness_from_vector(G, kind, _combine(K, wsp.basis, coeffs,
+                                                  wsp.dim_free))
+        res = esys.residual_list(dm._TransferContext(G, da, db, w))
+        return tuple((r, v) for r, v in enumerate(res) if v)
+
+    rng = random.Random(11)
+    nw = len(witnesses)
+    trials = [tuple(int(i == j) for i in range(nw)) for j in range(nw)]
+    trials.append(tuple(rng.randrange(K.p) for _ in range(nw)))
+    for coeffs in trials:
+        got = dm._combine_columns(K.p, coeffs, cols, r0)
+        assert got == literal(coeffs), coeffs
+        assert got   # the two classes are inequivalent
+    assert any(cols)
+
+
+@pytest.mark.parametrize("field_", [GF(3), QQ], ids=["F3", "Q"])
+def test_eps_products_skip_only_zero_terms(field_):
+    """vcomp, hcomp, tensor2 and invert of eps-pairs, with every pattern
+    of zero and nonzero eps parts, equal the formulas that compute both
+    bilinear terms."""
+    G = _model("z2-sign", field_)
+    C, K = G.base, field_
+    E = dm._Eps(G)
+    rng = random.Random(3)
+
+    def rand2(f, f2):
+        return TwoMorphism(f, f2, tuple(
+            K.mul(K.from_int(rng.choice((1, 2))),
+                  K.inv(K.from_int(rng.choice((1, 2)))))
+            for _ in range(C.dim2(f, f2))))
+
+    def ecell(lead, zero):
+        eps = C.zero2(lead.src, lead.tgt) if zero else \
+            rand2(lead.src, lead.tgt)
+        return dm.ECell(lead, eps)
+
+    def full(op, a, b):
+        return dm.ECell(op(a.lead, b.lead),
+                        C.add2(op(a.eps, b.lead), op(a.lead, b.eps)))
+
+    cells = sorted(C.cell_src)
+    checked = 0
+    for f in cells:
+        for f2 in C.parallel_targets(f):
+            for g in cells:
+                for g2 in C.parallel_targets(g):
+                    for za, zb in itertools.product((True, False),
+                                                    repeat=2):
+                        a = ecell(rand2(f, f2), za)
+                        b = ecell(rand2(g, g2), zb)
+                        assert E.tensor2(a, b) == full(G.tensor2, a, b)
+                        if f2 == g:
+                            assert E.vcomp(b, a) == full(C.vcomp, b, a)
+                        if C.cell_tgt[f] == C.cell_src[g]:
+                            assert E.hcomp(b, a) == full(C.hcomp, b, a)
+                        checked += 1
+    for t in G.tensorator_table.values():
+        for zero in (True, False):
+            a = ecell(t, zero)
+            inv = C.invert2(t)
+            assert E.invert(a) == dm.ECell(
+                inv, C.neg2(C.vcomp(C.vcomp(inv, a.eps), inv)))
+    assert checked
+
+
+def test_brute_force_keeps_its_literal_checks(g_fiber2, monkeypatch):
+    """One classification with two classes, so the cross-class check
+    runs, makes every literal check it made when that check called
+    check_equivalence once per witness: three full structural passes
+    against the linear residual, three transfer residuals against the
+    combination, the accept and reject spot-checks, one literal re-check
+    per gauge shift and the within-class check."""
+    calls = collections.Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[owner.__name__, name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(dm._StructuralSystem, "residual_list")
+    count(dm._EquivalenceSystem, "residual_list")
+    count(dm, "check_structural")
+    count(dm, "check_equivalence")
+    out = brute_force_classes(g_fiber2, "unit")
+    p, nb = 2, out["candidate_dim"]
+    nz, nw = out["cocycle_count"], out["witness_dim"]
+    assert out["count"] > 1 and p ** nw <= dm.WITNESS_SEARCH_LIMIT
+    assert calls["_StructuralSystem", "residual_list"] == 3
+    # the zero witness, one per witness basis vector, three spot-checks
+    assert calls["_EquivalenceSystem", "residual_list"] == 1 + nw + 3
+    assert calls["graycohom.deformations", "check_structural"] == \
+        min(3, nz) + min(3, p ** nb - nz) == 6
+    assert calls["graycohom.deformations", "check_equivalence"] == \
+        nw + 1 == 5
 
 
 # each case breaks one input of a consistency check and prints what the
