@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from .exactlinalg import SparseMatrix, Vector, kernel_basis, vstack
 from .gray import (
     GraySemigroup,
-    PadOps,
     merge_to_single,
     per_structure,
     tensor_power,
@@ -53,27 +52,26 @@ SELECTION_KINDS = ("tens_ass", "ass", "tens", "pent_restricted",
 
 @dataclass
 class BicomplexSpace:
+    """X_s^{m,n}: the cochains of X^{m,n} that vanish on tuples with an
+    all-identities slot."""
+
     G: GraySemigroup
     m: int
     n: int
-    special: bool
     pf: CochainSpace          # free coordinates and naturality constraints
     _constraints: SparseMatrix | None = None
     _basis: list | None = None
 
     @property
     def constraints(self) -> SparseMatrix:
-        """Naturality (+ identity-slot vanishing); computed on first use."""
+        """Naturality and identity-slot vanishing; computed on first use."""
         if self._constraints is None:
-            constraints = self.pf.constraints
-            if self.special:
-                K = self.G.base.field
-                coords = identity_slot_coordinates(self.G, self.pf)
-                extra = SparseMatrix(
-                    len(coords), self.pf.dim_free, K,
-                    {(i, c): K.one() for i, c in enumerate(coords)})
-                constraints = vstack(constraints, extra)
-            self._constraints = constraints
+            K = self.G.base.field
+            coords = identity_slot_coordinates(self.G, self.pf)
+            extra = SparseMatrix(
+                len(coords), self.pf.dim_free, K,
+                {(i, c): K.one() for i, c in enumerate(coords)})
+            self._constraints = vstack(self.pf.constraints, extra)
         return self._constraints
 
     @property
@@ -104,30 +102,25 @@ def identity_slot_coordinates(G: GraySemigroup, pf: CochainSpace):
 
 
 @per_structure
-def _pf_space(G: GraySemigroup, m: int, n: int) -> CochainSpace:
-    """X^{m,n} without the identity-slot condition, shared by both
-    flavours of bicomplex_space."""
-    return pf_cochain_basis(tensor_power(G, n + 1), m + 1, cap=_PF_CAP)
-
-
-@per_structure
-def bicomplex_space(G: GraySemigroup, m: int, n: int,
-                    special: bool = False) -> BicomplexSpace:
-    return BicomplexSpace(G, m, n, special, _pf_space(G, m, n))
+def bicomplex_space(G: GraySemigroup, m: int, n: int) -> BicomplexSpace:
+    return BicomplexSpace(G, m, n, pf_cochain_basis(tensor_power(G, n + 1),
+                                                    m + 1, cap=_PF_CAP))
 
 
 @per_structure
 def delta_h_matrix(G: GraySemigroup, m: int, n: int) -> SparseMatrix:
     """Matrix of delta_h: X^{m,n} -> X^{m+1,n} on free coordinates."""
-    return delta_pf_matrix(tensor_power(G, n + 1), _pf_space(G, m, n),
-                           _pf_space(G, m + 1, n))
+    return delta_pf_matrix(tensor_power(G, n + 1),
+                           bicomplex_space(G, m, n).pf,
+                           bicomplex_space(G, m + 1, n).pf)
 
 
 @per_structure
-def _pad_ops2(G: GraySemigroup) -> PadOps:
-    """Padding operations of the two-variable tensor; their merge cache
-    is shared by every delta_v_matrix of G."""
-    return PadOps(tensor_power(G, 2))
+def _interchange(G: GraySemigroup, pairs: tuple) -> TwoMorphism:
+    """The interchange cell of delta_v: merge_to_single of the letters
+    pairs (1-cells of C^2) under the two-variable tensor, kept for every
+    delta_v_matrix of G."""
+    return merge_to_single(tensor_power(G, 2), pairs, (1,) * len(pairs))
 
 
 @per_structure
@@ -162,9 +155,7 @@ def delta_v_matrix(G: GraySemigroup, m: int, n: int) -> SparseMatrix:
     K = C.field
     sp_in = bicomplex_space(G, m, n).pf
     sp_out = bicomplex_space(G, m, n + 1).pf
-    ops2 = _pad_ops2(G)
     c = n + 2  # columns of the output letters
-    ones = (1,) * (m + 1)
     dom = sp_out.F.dom
     letters = list(dom.cell_src)
     lid = {f: i for i, f in enumerate(letters)}
@@ -207,7 +198,7 @@ def delta_v_matrix(G: GraySemigroup, m: int, n: int) -> SparseMatrix:
     def operator(j, pair_key, pairs, whiskered, src, tgt):
         merged = merged_of.get(pair_key)
         if merged is None:
-            cell = merge_to_single(ops2, pairs, ones)
+            cell = _interchange(G, pairs)
             merged = merged_of[pair_key] = (values.setdefault(
                 (cell.src, cell.tgt, cell.coeffs), len(values)), cell)
         key = (j, merged[0], whiskered, src, tgt)
@@ -501,7 +492,7 @@ class TotalSpace:
 
 def _summand_dim(G: GraySemigroup, desc) -> int:
     if desc[0] == "bi":
-        return bicomplex_space(G, desc[1], desc[2], special=True).dim_free
+        return bicomplex_space(G, desc[1], desc[2]).dim_free
     return pent_space(G, desc[1]).dim_free
 
 
@@ -509,7 +500,7 @@ def _summand_constraints(G: GraySemigroup, kind: str, desc) -> SparseMatrix:
     """Constraint matrix of one summand under selection kind."""
     if desc[0] == "bi":
         _, m, n = desc
-        cons = bicomplex_space(G, m, n, special=True).constraints
+        cons = bicomplex_space(G, m, n).constraints
         if kind == "ass":
             cons = vstack(cons, delta_h_matrix(G, m, n))
         elif kind == "tens":
@@ -528,7 +519,7 @@ def _summand_kernel(G: GraySemigroup, kind: str, desc):
                           restricted=(kind == "pent_restricted")).basis
     if kind in ("ass", "tens"):
         return kernel_basis(_summand_constraints(G, kind, desc))
-    return bicomplex_space(G, desc[1], desc[2], special=True).basis
+    return bicomplex_space(G, desc[1], desc[2]).basis
 
 
 @per_structure

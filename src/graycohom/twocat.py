@@ -365,159 +365,136 @@ def validate_two_category(C: TwoCategory) -> ValidationReport:
 # ----- cartesian products ----------------------------------------------
 
 
-def product_many(cats: list[TwoCategory]) -> TwoCategory:
-    """Cartesian product; objects and 1-cells are tuples, 2-cell spaces are
-    tensor products of the component spaces."""
-    if not cats:
-        raise ValueError("empty product")
-    K = cats[0].field
-    for D in cats[1:]:
-        if D.field != K:
-            raise ValueError("field mismatch in product")
-    import itertools
+def _kron(K, u, v, dim_v):
+    """Kronecker product of sparse vectors {index: scalar}: the index pair
+    (a, b) becomes a * dim_v + b.  Zero products are left out."""
+    out = {}
+    for a, x in u.items():
+        for b, y in v.items():
+            c = K.mul(x, y)
+            if not K.is_zero(c):
+                out[a * dim_v + b] = c
+    return out
 
-    objects = [tuple(t) for t in itertools.product(*[D.objects for D in cats])]
+
+def _kron_table(K, ta, tb, dims_b):
+    """Structure constants {(j, i): {k: scalar}} of a product composition
+    from those of its two factors; dims_b are the second factor's Hom2
+    dimensions of the left input, the right input and the output."""
+    dj, di, dk = dims_b
+    table = {}
+    for (ja, ia), u in ta.items():
+        for (jb, ib), v in tb.items():
+            vec = _kron(K, u, v, dk)
+            if vec:
+                table[(ja * dj + jb, ia * di + ib)] = vec
+    return dict(sorted(table.items()))
+
+
+def _times(A: TwoCategory, B: TwoCategory) -> TwoCategory:
+    """A x B, where the labels of A are tuples: a product label is an A
+    label with the B component appended, and the product 2-cell with
+    factor indices (i_A, i_B) has index i_A * dim_B + i_B."""
+    K = A.field
+    objects = [X + (Y,) for X in A.objects for Y in B.objects]
     one_cells = {}
     cell_src = {}
     cell_tgt = {}
     for X in objects:
         for Y in objects:
-            factors = [cats[i].one_cells.get((X[i], Y[i]), ()) for i in range(len(cats))]
-            if any(not fs for fs in factors):
-                one_cells[(X, Y)] = ()
-                continue
-            cells = [tuple(t) for t in itertools.product(*factors)]
-            one_cells[(X, Y)] = tuple(cells)
+            cells = tuple(f + (g,)
+                          for f in A.one_cells.get((X[:-1], Y[:-1]), ())
+                          for g in B.one_cells.get((X[-1], Y[-1]), ()))
+            one_cells[(X, Y)] = cells
             for f in cells:
                 cell_src[f] = X
                 cell_tgt[f] = Y
-    identity_cell = {
-        X: tuple(cats[i].identity_cell[X[i]] for i in range(len(cats)))
-        for X in objects
-    }
+    identity_cell = {X: A.identity_cell[X[:-1]] + (B.identity_cell[X[-1]],)
+                     for X in objects}
     compose1 = {}
     for (Y, Z), gs in one_cells.items():
         if not gs:
             continue
         for X in objects:
-            fs = one_cells.get((X, Y), ())
+            fs = one_cells[(X, Y)]
             for g in gs:
                 for f in fs:
-                    compose1[(g, f)] = tuple(
-                        cats[i].compose1[(g[i], f[i])] for i in range(len(cats)))
+                    compose1[(g, f)] = (A.compose1[(g[:-1], f[:-1])]
+                                        + (B.compose1[(g[-1], f[-1])],))
 
     hom2_dim = {}
-    id2_coeffs = {}
-    vcomp_const = {}
-    hcomp_const = {}
-
-    def tensor_vec(vecs, dims):
-        """Outer product of per-component sparse vectors {idx: coeff}."""
-        out = {0: K.one()}
-        for vec, d in zip(vecs, dims):
-            new = {}
-            for base, c in out.items():
-                for i, v in vec.items():
-                    new[base * d + i] = K.mul(c, v)
-            out = new
-        return {k: v for k, v in out.items() if not K.is_zero(v)}
-
-    for (X, Y), cells in one_cells.items():
+    for cells in one_cells.values():
         for f in cells:
             for f2 in cells:
-                dims = [cats[i].dim2(f[i], f2[i]) for i in range(len(cats))]
-                d = 1
-                for di in dims:
-                    d *= di
+                d = A.dim2(f[:-1], f2[:-1]) * B.dim2(f[-1], f2[-1])
                 if d:
                     hom2_dim[(f, f2)] = d
-    for f in cell_src:
-        dims = [cats[i].dim2(f[i], f[i]) for i in range(len(cats))]
-        vecs = [
-            {k: v for k, v in enumerate(cats[i].id2_coeffs[f[i]])
-             if not K.is_zero(v)}
-            for i in range(len(cats))
-        ]
-        dense = tensor_vec(vecs, dims)
-        total = hom2_dim.get((f, f), 0)
-        id2_coeffs[f] = tuple(dense.get(k, K.zero()) for k in range(total))
 
-    def component_indices(flat, dims):
-        out = []
-        for d in reversed(dims):
-            out.append(flat % d)
-            flat //= d
-        return list(reversed(out))
+    def sparse(coeffs):
+        return {k: v for k, v in enumerate(coeffs) if not K.is_zero(v)}
+
+    id2_coeffs = {}
+    for f in cell_src:
+        a, b = f[:-1], f[-1]
+        vec = _kron(K, sparse(A.id2_coeffs[a]), sparse(B.id2_coeffs[b]),
+                    B.dim2(b, b))
+        id2_coeffs[f] = tuple(vec.get(k, K.zero())
+                              for k in range(hom2_dim.get((f, f), 0)))
 
     parallels = {}
     for (f, f2) in hom2_dim:
         parallels.setdefault(f, []).append(f2)
 
-    # vertical structure constants
+    vcomp_const = {}
     for f in cell_src:
         for f1 in parallels.get(f, ()):
             for f2 in parallels.get(f1, ()):
-                dims_a = [cats[i].dim2(f1[i], f2[i]) for i in range(len(cats))]
-                dims_b = [cats[i].dim2(f[i], f1[i]) for i in range(len(cats))]
-                dims_o = [cats[i].dim2(f[i], f2[i]) for i in range(len(cats))]
-                table = {}
-                for j in range(hom2_dim[(f1, f2)]):
-                    js = component_indices(j, dims_a)
-                    for i in range(hom2_dim[(f, f1)]):
-                        isx = component_indices(i, dims_b)
-                        vecs = []
-                        ok = True
-                        for ci in range(len(cats)):
-                            consts = cats[ci].vcomp_const.get(
-                                (f[ci], f1[ci], f2[ci]), {})
-                            vec = consts.get((js[ci], isx[ci]), {})
-                            if not vec:
-                                ok = False
-                                break
-                            vecs.append(vec)
-                        if not ok:
-                            continue
-                        dense = tensor_vec(vecs, dims_o)
-                        if dense:
-                            table[(j, i)] = dense
-                if table:
-                    vcomp_const[(f, f1, f2)] = table
+                ta = A.vcomp_const.get((f[:-1], f1[:-1], f2[:-1]))
+                tb = B.vcomp_const.get((f[-1], f1[-1], f2[-1]))
+                if ta and tb:
+                    table = _kron_table(K, ta, tb, (
+                        B.dim2(f1[-1], f2[-1]), B.dim2(f[-1], f1[-1]),
+                        B.dim2(f[-1], f2[-1])))
+                    if table:
+                        vcomp_const[(f, f1, f2)] = table
 
-    # horizontal structure constants
-    for (g, f) in compose1:
+    hcomp_const = {}
+    for (g, f), gf in compose1.items():
         for g2 in parallels.get(g, ()):
             for f2 in parallels.get(f, ()):
-                gf = compose1[(g, f)]
-                g2f2 = compose1[(g2, f2)]
-                dims_g = [cats[i].dim2(g[i], g2[i]) for i in range(len(cats))]
-                dims_f = [cats[i].dim2(f[i], f2[i]) for i in range(len(cats))]
-                dims_o = [cats[i].dim2(gf[i], g2f2[i]) for i in range(len(cats))]
-                table = {}
-                for j in range(hom2_dim[(g, g2)]):
-                    js = component_indices(j, dims_g)
-                    for i in range(hom2_dim[(f, f2)]):
-                        isx = component_indices(i, dims_f)
-                        vecs = []
-                        ok = True
-                        for ci in range(len(cats)):
-                            consts = cats[ci].hcomp_const.get(
-                                (g[ci], g2[ci], f[ci], f2[ci]), {})
-                            vec = consts.get((js[ci], isx[ci]), {})
-                            if not vec:
-                                ok = False
-                                break
-                            vecs.append(vec)
-                        if not ok:
-                            continue
-                        dense = tensor_vec(vecs, dims_o)
-                        if dense:
-                            table[(j, i)] = dense
-                if table:
-                    hcomp_const[(g, g2, f, f2)] = table
+                ta = A.hcomp_const.get((g[:-1], g2[:-1], f[:-1], f2[:-1]))
+                tb = B.hcomp_const.get((g[-1], g2[-1], f[-1], f2[-1]))
+                if ta and tb:
+                    g2f2 = compose1[(g2, f2)]
+                    table = _kron_table(K, ta, tb, (
+                        B.dim2(g[-1], g2[-1]), B.dim2(f[-1], f2[-1]),
+                        B.dim2(gf[-1], g2f2[-1])))
+                    if table:
+                        hcomp_const[(g, g2, f, f2)] = table
 
     return TwoCategory(K, objects, one_cells, cell_src, cell_tgt,
                        identity_cell, compose1, hom2_dim, id2_coeffs,
                        vcomp_const, hcomp_const)
+
+
+def product_many(cats: list[TwoCategory]) -> TwoCategory:
+    """Cartesian product; objects and 1-cells are tuples, 2-cell spaces are
+    tensor products of the component spaces.  It is built one factor at a
+    time from the one-cell 2-category, so the first factor is the most
+    significant in a product 2-cell index."""
+    if not cats:
+        raise ValueError("empty product")
+    K = cats[0].field
+    one = K.one()
+    unit = {(0, 0): {0: one}}
+    out = TwoCategory(K, [()], {((), ()): ((),)}, {(): ()}, {(): ()},
+                      {(): ()}, {((), ()): ()}, {((), ()): 1}, {(): (one,)},
+                      {((), (), ()): unit}, {((), (), (), ()): unit})
+    for D in cats:
+        if D.field != K:
+            raise ValueError("field mismatch in product")
+        out = _times(out, D)
+    return out
 
 
 # ----- pseudofunctors ---------------------------------------------------

@@ -39,7 +39,7 @@ from graycohom.examples import (
     trivial_bicharacter,
     trivial_group,
 )
-from graycohom.gray import PadOps, PaddedStep, canonical_pad, pad, tensor_power
+from graycohom.gray import PaddedStep, canonical_pad, pad, tensor_power
 from graycohom.pfcomplex import (
     composable_tuples,
     delta_pf_matrix,
@@ -104,7 +104,7 @@ def test_criterion_03_special_closure():
     G = make_model(cyclic_group(2), cyclic_group(2), sign_bicharacter, GF(3))
     bidegrees = [(m, n) for m in range(3) for n in range(3 - m)]
     for (m, n) in bidegrees:
-        sp = bicomplex_space(G, m, n, special=True)
+        sp = bicomplex_space(G, m, n)
         dh = delta_h_matrix(G, m, n)
         dv = delta_v_matrix(G, m, n)
         h_slots = set(identity_slot_coordinates(
@@ -412,7 +412,6 @@ def test_criterion_10_padding_recipe_independence():
     checked = 0
     for G in models:
         F = tensor_power(G, 2)
-        ops = PadOps(F)
         C = F.cod
         cells = sorted(F.dom.cell_src)
         for _ in range(500):
@@ -434,7 +433,7 @@ def test_criterion_10_padding_recipe_independence():
                 return tuple(out)
 
             b1, b2 = blocks(), blocks()
-            chain = [PaddedStep(canonical_pad(ops, letters, b1, b2), b1, b2)]
+            chain = [PaddedStep(canonical_pad(F, letters, b1, b2), b1, b2)]
             first = pad(F, letters, chain,
                         rng=random.Random(rng.randrange(10 ** 9)))
             second = pad(F, letters, chain,

@@ -269,3 +269,25 @@ def test_click_end_to_end(tmp_path):
     assert json.loads(res.output)["verdict"] == "AGREE"
     res = runner.invoke(cli.main, ["validate", str(tmp_path / "missing.json")])
     assert res.exit_code == 2
+
+
+def test_scaled_tensorator_entry_exits_1(sign3_text):
+    """Scaling any one tensorator coefficient of z2-sign/F_3 by 2 is a
+    validation failure for validate and cohomology alike: exit 1 with
+    named violations, never a raise.  For the 16 entries outside the
+    cubical identities the C^2 pseudofunctor axioms fail, and validation
+    stops before the three-variable tensor is built."""
+    doc = sc.loads(sign3_text)
+    hexagonal = 0
+    for i in range(len(doc["tensorator"])):
+        bad = sc.loads(sign3_text)
+        coeffs = bad["tensorator"][i][1]["coeffs"]
+        coeffs[0] = coeffs[0] * 2 % 3
+        text = sc.dumps(bad)
+        for code, out in (cli.run_validate(text),
+                          cli.run_cohomology(text, "unit", None, None)):
+            assert code == cli.EXIT_VALIDATION, i
+            assert out["violations"], i
+        names = {name for name, _ in out["violations"]}
+        hexagonal += "hexagonal-axiom" in names
+    assert hexagonal == 16

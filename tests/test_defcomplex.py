@@ -40,7 +40,7 @@ def test_horizontal_and_vertical_differentials_commute(g_fiber2):
     for (m, n) in [(0, 1), (1, 1), (0, 2)]:
         hv = delta_v_matrix(G, m + 1, n).mul_matrix(delta_h_matrix(G, m, n))
         vh = delta_h_matrix(G, m, n + 1).mul_matrix(delta_v_matrix(G, m, n))
-        for b in bicomplex_space(G, m, n, special=True).basis:
+        for b in bicomplex_space(G, m, n).basis:
             x = hv.mul_vector(b)
             y = vh.mul_vector(b)
             assert x.entries == y.entries
@@ -49,7 +49,7 @@ def test_horizontal_and_vertical_differentials_commute(g_fiber2):
 def test_special_subspace_is_preserved(g_fiber2):
     G = g_fiber2
     for (m, n) in [(0, 1), (1, 1), (0, 2)]:
-        sp = bicomplex_space(G, m, n, special=True)
+        sp = bicomplex_space(G, m, n)
         dh = delta_h_matrix(G, m, n)
         dv = delta_v_matrix(G, m, n)
         h_bad = set(identity_slot_coordinates(

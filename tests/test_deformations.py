@@ -509,5 +509,3 @@ def test_derived_tables_live_in_the_memo_only():
     assert set(vars(G.base)) == base_names
     assert G.memo
     assert pent_space(G, 2) is pent_space(G, 2, restricted=False)
-    assert bicomplex_space(G, 1, 1) is bicomplex_space(G, 1, 1, special=False)
-    assert bicomplex_space(G, 1, 1) is bicomplex_space(G, 1, 1, False)

@@ -5,9 +5,12 @@ import random
 
 import pytest
 
+from conftest import make_model
+from graycohom import gray
+from graycohom.exactlinalg import GF, QQ
+from graycohom.examples import cyclic_group, sign_bicharacter
 from graycohom.gray import (
     GraySemigroup,
-    PadOps,
     PaddedStep,
     canonical_pad,
     expr_cell,
@@ -78,13 +81,55 @@ def test_tensor_powers_are_valid_pseudofunctors(g_sign3, n):
     assert rep.ok, rep.violations[:5]
 
 
-def test_tensor_power_tables_agree_with_iterated_tensor(g_sign3):
-    G = g_sign3
-    F = tensor_power(G, 3)
-    for X in F.dom.objects:
-        assert F.obj_map[X] == G.tobj_many(X)
-    for f in F.dom.cell_src:
-        assert F.cell_map[f] == G.tcell_many(f)
+def _digits(k, dims):
+    """Factor indices of product index k, the first factor most
+    significant."""
+    out = []
+    for d in reversed(dims):
+        k, r = divmod(k, d)
+        out.append(r)
+    return out[::-1]
+
+
+def test_tensor_power_tables_agree_with_iterated_tensor():
+    """obj_map, cell_map and two_map of C^n -> C are the iterated tensor
+    of the factors, n <= 4, over F_3 and Q."""
+    for field_ in (GF(3), QQ):
+        G = make_model(cyclic_group(2), cyclic_group(2), sign_bicharacter,
+                       field_)
+        C = G.base
+        K = C.field
+        for n in (1, 2, 3, 4):
+            F = tensor_power(G, n)
+            for X in F.dom.objects:
+                assert F.obj_map[X] == G.tobj_many(X)
+            for f in F.dom.cell_src:
+                assert F.cell_map[f] == G.tcell_many(f)
+            for (f, f2), cols in F.two_map.items():
+                dims = [C.dim2(a, b) for a, b in zip(f, f2)]
+                assert len(cols) == F.dom.dim2(f, f2)
+                for k, col in enumerate(cols):
+                    t = G.tensor2_many([C.basis2(a, b, i) for a, b, i
+                                        in zip(f, f2, _digits(k, dims))])
+                    assert col == {i: v for i, v in enumerate(t.coeffs)
+                                   if not K.is_zero(v)}
+                    assert F.map2(F.dom.basis2(f, f2, k)) == t
+
+
+def test_validator_names_disagreeing_tensor_recursions(g_sign3,
+                                                     monkeypatch):
+    """A disagreement of the two iterated-tensor recursions at n = 3 is
+    reported as a named violation, not raised."""
+    real = gray.tensor_power
+
+    def disagreeing(G, n):
+        if n == 3:
+            raise gray.RecursionsDisagree(("g", "f"))
+        return real(G, n)
+
+    monkeypatch.setattr(gray, "tensor_power", disagreeing)
+    rep = validate_gray(g_sign3)
+    assert rep.violations == [("tensor-power-recursions", ("g", "f"))]
 
 
 def _random_letters(rng, dom, k):
@@ -113,46 +158,42 @@ def test_merge_order_independence(g_fiber2, g_sign3):
     rng = random.Random(7)
     for G in (g_fiber2, g_sign3):
         F = tensor_power(G, 2)
-        ops = PadOps(F)
         C = F.cod
         for _ in range(25):
             k = rng.randint(2, 4)
             letters = _random_letters(rng, F.dom, k)
             blocks = _random_blocks(rng, k)
-            base = merge_to_single(ops, letters, blocks)
+            base = merge_to_single(F, letters, blocks)
             for seed in (1, 2):
-                again = merge_to_single(ops, letters, blocks,
+                again = merge_to_single(F, letters, blocks,
                                         random.Random(seed))
                 assert C.eq2(base, again)
 
 
 def test_canonical_pad_endpoints_and_identity(g_sign3):
     F = tensor_power(g_sign3, 2)
-    ops = PadOps(F)
     C = F.cod
     rng = random.Random(3)
     letters = _random_letters(rng, F.dom, 3)
-    t = canonical_pad(ops, letters, (1, 1, 1), (2, 1))
-    assert t.src == expr_cell(ops, letters, (1, 1, 1))
-    assert t.tgt == expr_cell(ops, letters, (2, 1))
-    same = canonical_pad(ops, letters, (2, 1), (2, 1))
-    assert C.eq2(same, C.id2(expr_cell(ops, letters, (2, 1))))
+    t = canonical_pad(F, letters, (1, 1, 1), (2, 1))
+    assert t.src == expr_cell(F, letters, (1, 1, 1))
+    assert t.tgt == expr_cell(F, letters, (2, 1))
+    same = canonical_pad(F, letters, (2, 1), (2, 1))
+    assert C.eq2(same, C.id2(expr_cell(F, letters, (2, 1))))
 
 
 def test_pad_of_empty_chain_is_full_merge(g_sign3):
     F = tensor_power(g_sign3, 2)
-    ops = PadOps(F)
     C = F.cod
     rng = random.Random(5)
     for _ in range(10):
         letters = _random_letters(rng, F.dom, 3)
         total = pad(F, letters, [])
-        assert C.eq2(total, merge_to_single(ops, letters, (1, 1, 1)))
+        assert C.eq2(total, merge_to_single(F, letters, (1, 1, 1)))
 
 
 def test_pad_recipe_independence_small(g_fiber2):
     F = tensor_power(g_fiber2, 2)
-    ops = PadOps(F)
     C = F.cod
     rng = random.Random(11)
     for _ in range(20):
@@ -161,7 +202,7 @@ def test_pad_recipe_independence_small(g_fiber2):
         b1 = _random_blocks(rng, k)
         b2 = _random_blocks(rng, k)
         chain = [
-            PaddedStep(canonical_pad(ops, letters, b1, b2), b1, b2),
+            PaddedStep(canonical_pad(F, letters, b1, b2), b1, b2),
         ]
         base = pad(F, letters, chain)
         again = pad(F, letters, chain, rng=random.Random(rng.randrange(10 ** 6)))

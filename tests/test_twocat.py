@@ -2,6 +2,8 @@
 and pseudofunctors, exercised on a delooped group-algebra category whose
 hom spaces are genuinely multi-dimensional."""
 
+import math
+
 import pytest
 
 from graycohom.exactlinalg import GF
@@ -92,6 +94,70 @@ def test_product_many_multiplies_dimensions():
     assert P.dim2((f, f), (f, f)) == B.dim2(f, f) ** 2
     rep = validate_two_category(P)
     assert rep.ok, rep.violations[:5]
+
+
+def _digits(k, dims):
+    """Factor indices of product index k, the first factor most
+    significant."""
+    out = []
+    for d in reversed(dims):
+        k, r = divmod(k, d)
+        out.append(r)
+    return out[::-1]
+
+
+def _kron(K, coeff_lists):
+    """Coefficients of the Kronecker product of coefficient tuples."""
+    dims = [len(cs) for cs in coeff_lists]
+    out = []
+    for k in range(math.prod(dims)):
+        c = K.one()
+        for cs, i in zip(coeff_lists, _digits(k, dims)):
+            c = K.mul(c, cs[i])
+        out.append(c)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("model", ["group-algebra", "z2-sign"])
+def test_product_composition_is_kronecker_of_factors(model, g_sign3):
+    """On B^3, the identity of every 1-cell and the vertical and
+    horizontal composite of every pair of basis 2-cells have the
+    coefficients of the Kronecker product of the factor-wise results."""
+    B = (deloop(group_algebra_monoidal(2, GF(5))) if model == "group-algebra"
+         else g_sign3.base)
+    K = B.field
+    P = product_many([B] * 3)
+
+    def basis(f, f2):
+        """(product basis 2-cell, its factor basis 2-cells)."""
+        dims = [B.dim2(a, b) for a, b in zip(f, f2)]
+        assert P.dim2(f, f2) == math.prod(dims)
+        for k in range(P.dim2(f, f2)):
+            yield P.basis2(f, f2, k), [
+                B.basis2(a, b, i) for a, b, i in zip(f, f2, _digits(k, dims))]
+
+    for f in P.cell_src:
+        assert P.id2(f).coeffs == _kron(K, [B.id2(a).coeffs for a in f])
+    checked = 0
+    for f in P.cell_src:
+        for f1 in P.parallel_targets(f):
+            for f2 in P.parallel_targets(f1):
+                for t1, ts1 in basis(f, f1):
+                    for t2, ts2 in basis(f1, f2):
+                        want = _kron(K, [B.vcomp(b, a).coeffs
+                                         for b, a in zip(ts2, ts1)])
+                        assert P.vcomp(t2, t1).coeffs == want
+                        checked += 1
+    for (g, f) in P.compose1:
+        for g2 in P.parallel_targets(g):
+            for f2 in P.parallel_targets(f):
+                for tg, tgs in basis(g, g2):
+                    for tf, tfs in basis(f, f2):
+                        want = _kron(K, [B.hcomp(b, a).coeffs
+                                         for b, a in zip(tgs, tfs)])
+                        assert P.hcomp(tg, tf).coeffs == want
+                        checked += 1
+    assert checked
 
 
 def test_identity_pseudofunctor_validates(C):
