@@ -19,7 +19,8 @@ computes their cohomology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .exactlinalg import SparseMatrix, Vector, kernel_basis, vstack
 from .gray import (
@@ -29,13 +30,14 @@ from .gray import (
     tensor_power,
 )
 from .pfcomplex import (
+    Assembler,
     CapExceeded,
     CochainSpace,
     _cohomology_core,
-    accumulate,
     delta_pf_matrix,
-    matrix_from_entries,
+    fiber_value,
     pf_cochain_basis,
+    place,
     term_operator,
 )
 from .twocat import TwoMorphism
@@ -85,8 +87,8 @@ class BicomplexSpace:
         return self.pf.dim_free
 
     @property
-    def dimension(self):
-        return len(self.basis)
+    def slots(self):
+        return self.pf.slots
 
 
 def identity_slot_coordinates(G: GraySemigroup, pf: CochainSpace):
@@ -132,10 +134,10 @@ def delta_v_matrix(G: GraySemigroup, m: int, n: int) -> SparseMatrix:
     the canonical interchange cells built from tensorator instances.
 
     Term j (sign (-1)^j) maps the fiber Hom2(src, tgt) of its input tuple
-    t_in by x -> sign * post(x).  Its matrix is computed once per key and
-    reused across output tuples.  The key holds j, the interchange cell
-    (beta or gamma, merge_to_single of the term's per-letter pairs in C^2),
-    the columns whiskered by identity 2-cells, and (src, tgt):
+    t_in by x -> sign * post(x).  Its Assembler key holds j, the number of
+    the interchange cell (beta or gamma, merge_to_single of the term's
+    per-letter pairs in C^2), the columns whiskered by identity 2-cells,
+    and (src, tgt):
 
     * j = 0: pairs (f[0], (x)f[1:]), column 0; post(x) = (1 (x) x) . beta;
     * 0 < j < n+2: pairs (f[j-1], f[j]), every column except j-1 and j;
@@ -143,16 +145,10 @@ def delta_v_matrix(G: GraySemigroup, m: int, n: int) -> SparseMatrix:
     * j = n+2: pairs ((x)f[:-1], f[-1]), the last column;
       post(x) = (x (x) 1) . beta.
 
-    The interchange cell enters the key by a number given to each distinct
-    value (src, tgt, coefficients), so post and the fiber basis are
-    functions of the key, and equal keys give equal operators.  Since the
-    pairs determine the cell, the operator is first looked up by the pair
-    numbers in place of the cell.  Letters and pairs are numbered, and each
-    letter's input letters and pairs are listed once, so the per-term
-    lookups hash tuples of small ints.
-    """
+    The pairs determine the interchange cell, so its number is looked up
+    by the tuple of pair numbers.  Each letter's input letters and pairs
+    are listed once."""
     C = G.base
-    K = C.field
     sp_in = bicomplex_space(G, m, n).pf
     sp_out = bicomplex_space(G, m, n + 1).pf
     c = n + 2  # columns of the output letters
@@ -161,8 +157,9 @@ def delta_v_matrix(G: GraySemigroup, m: int, n: int) -> SparseMatrix:
     lid = {f: i for i, f in enumerate(letters)}
     comp = {(lid[g], lid[f]): lid[gf] for (g, f), gf in dom.compose1.items()}
     in_lid: dict = {}
-    slots_in = {tuple([in_lid.setdefault(f, len(in_lid)) for f in t]): slot
-                for t, slot in sp_in.slots.items() if slot[1]}
+    slots_in = {tuple([in_lid.setdefault(f, len(in_lid)) for f in t]):
+                (first, src, tgt)
+                for t, (first, d, src, tgt) in sp_in.slots.items() if d}
     pair_ids: dict = {}
     # per output letter and term j: input letter number, pair number, pair
     terms = []
@@ -178,36 +175,26 @@ def delta_v_matrix(G: GraySemigroup, m: int, n: int) -> SparseMatrix:
         terms.append(([in_lid.get(g, -1) for g in ins],
                       [pair_ids.setdefault(p, len(pair_ids)) for p in pairs],
                       pairs))
-    merged_of: dict = {}  # pair numbers -> (value number, interchange cell)
-    values: dict = {}
-    by_value: dict = {}
-    ops: dict = {}  # the same operators, looked up by pair numbers
-    acc: dict = {}
+    merged_of: dict = {}  # pair numbers -> number of the interchange cell
+    numbers: dict = {}    # interchange cell -> its number
+    cells = []            # interchange cells by number
 
-    def post(j, merged, whiskered):
+    def make(key):
+        j, v, whiskered, src, tgt = key
+        merged, sign = cells[v], (-1) ** j
         if j == 0:
             head = C.id2(whiskered[0])
-            return lambda val: C.vcomp(G.tensor2(head, val), merged)
+            return term_operator(C, src, tgt, sign, lambda val: C.vcomp(
+                G.tensor2(head, val), merged))
         if j == c:
             tail = C.id2(whiskered[0])
-            return lambda val: C.vcomp(G.tensor2(val, tail), merged)
+            return term_operator(C, src, tgt, sign, lambda val: C.vcomp(
+                G.tensor2(val, tail), merged))
         ids = [C.id2(g) for g in whiskered]
         W = G.tensor2_many(ids[:j - 1] + [merged] + ids[j - 1:])
-        return lambda val: C.vcomp(W, val)
+        return term_operator(C, src, tgt, sign, lambda val: C.vcomp(W, val))
 
-    def operator(j, pair_key, pairs, whiskered, src, tgt):
-        merged = merged_of.get(pair_key)
-        if merged is None:
-            cell = _interchange(G, pairs)
-            merged = merged_of[pair_key] = (values.setdefault(
-                (cell.src, cell.tgt, cell.coeffs), len(values)), cell)
-        key = (j, merged[0], whiskered, src, tgt)
-        op = by_value.get(key)
-        if op is None:
-            op = by_value[key] = term_operator(
-                C, src, tgt, (-1) ** j, post(j, merged[1], whiskered))
-        return op
-
+    asm = Assembler(sp_out.dim_free, sp_in.dim_free, C.field, make)
     for t, slot in sp_out.slots.items():
         row0 = slot[0]
         ids = [lid[f] for f in t]
@@ -220,24 +207,24 @@ def delta_v_matrix(G: GraySemigroup, m: int, n: int) -> SparseMatrix:
         t_ins = zip(*[p[0] for p in per_letter])
         pair_keys = zip(*[p[1] for p in per_letter])
         for j, t_in, pair_key in zip(range(c + 1), t_ins, pair_keys):
-            slot = slots_in.get(t_in)
-            if slot is None:
+            s = slots_in.get(t_in)
+            if s is None:
                 continue
-            col0, _, src, tgt = slot
+            col0, src, tgt = s
+            v = merged_of.get(pair_key)
+            if v is None:
+                cell = _interchange(G, tuple(p[2][j] for p in per_letter))
+                v = merged_of[pair_key] = numbers.setdefault(cell, len(cells))
+                if v == len(cells):
+                    cells.append(cell)
             if j == 0:
                 whiskered = col[:1]
             elif j == c:
                 whiskered = col[-1:]
             else:
                 whiskered = col[:j - 1] + col[j + 1:]
-            op_key = (j, pair_key, whiskered, src, tgt)
-            op = ops.get(op_key)
-            if op is None:
-                pairs = tuple(p[2][j] for p in per_letter)
-                op = ops[op_key] = operator(j, pair_key, pairs, whiskered,
-                                            src, tgt)
-            accumulate(acc, K.add, row0, col0, op)
-    return matrix_from_entries(sp_out.dim_free, sp_in.dim_free, K, acc)
+            asm.add((j, v, whiskered, src, tgt), row0, col0)
+    return asm.matrix()
 
 
 # ----- pentagonator spaces ----------------------------------------------
@@ -245,40 +232,21 @@ def delta_v_matrix(G: GraySemigroup, m: int, n: int) -> SparseMatrix:
 
 @dataclass
 class PentSpace:
-    """Families of endomorphisms of identity 1-cells over object tuples."""
+    """Families of endomorphisms of identity 1-cells over object tuples.
+    Every family is a cochain: there are no constraint rows."""
 
     G: GraySemigroup
     degree: int
     tuples: list
-    index: list
-    pos: dict
-    tuple_dims: dict
-    constraints: SparseMatrix
-    basis: list
+    index: list = field(default_factory=list)
+    pos: dict = field(default_factory=dict)
+    slots: dict = field(default_factory=dict)   # as CochainSpace.slots
+    constraints: SparseMatrix | None = None
+    basis: list | None = None
 
     @property
     def dim_free(self):
         return len(self.index)
-
-    @property
-    def dimension(self):
-        return len(self.basis)
-
-    def id_cell(self, T):
-        C = self.G.base
-        return C.identity_cell[self.G.tobj_many(T)]
-
-    def value(self, vec: Vector, T) -> TwoMorphism:
-        C = self.G.base
-        K = C.field
-        e = self.id_cell(T)
-        d = self.tuple_dims[T]
-        coeffs = [K.zero()] * d
-        for b in range(d):
-            v = vec.entries.get(self.pos[(T, b)])
-            if v is not None:
-                coeffs[b] = v
-        return TwoMorphism(e, e, tuple(coeffs))
 
 
 def _object_tuples(G: GraySemigroup, k: int):
@@ -288,24 +256,14 @@ def _object_tuples(G: GraySemigroup, k: int):
 
 
 @per_structure
-def pent_space(G: GraySemigroup, degree: int,
-               restricted: bool = False) -> PentSpace:
+def pent_space(G: GraySemigroup, degree: int) -> PentSpace:
     C = G.base
-    K = C.field
-    space = PentSpace(G, degree, [], [], {}, {}, SparseMatrix(0, 0, K), [])
-    if degree >= 0:
-        space.tuples = _object_tuples(G, degree + 1)
+    space = PentSpace(G, degree,
+                      _object_tuples(G, degree + 1) if degree >= 0 else [])
     for T in space.tuples:
-        e = space.id_cell(T)
-        d = C.dim2(e, e)
-        space.tuple_dims[T] = d
-        for b in range(d):
-            space.pos[(T, b)] = len(space.index)
-            space.index.append((T, b))
-    if restricted and degree >= 0:
-        space.constraints = phi_matrix(G, degree)
-    else:
-        space.constraints = SparseMatrix(0, space.dim_free, K)
+        e = C.identity_cell[G.tobj_many(T)]
+        place(space, T, e, e, C.dim2(e, e))
+    space.constraints = SparseMatrix(0, space.dim_free, C.field)
     space.basis = kernel_basis(space.constraints)
     return space
 
@@ -318,46 +276,37 @@ def delta_pent_matrix(G: GraySemigroup, degree: int) -> SparseMatrix:
 
     Term j (sign (-1)^j) drops the first object (j = 0, whiskered by its
     identity on the left), merges objects j-1 and j, or drops the last
-    object (whiskered on the right).  Its matrix on the fiber of the input
-    tuple is keyed by j, the whiskering object and the identity 1-cell of
-    the input tuple, and computed once per key."""
+    object (whiskered on the right).  Its Assembler key is j, the
+    whiskering object and the identity 1-cell of the input tuple."""
     C = G.base
-    K = C.field
     sp_in = pent_space(G, degree)
     sp_out = pent_space(G, degree + 1)
-    ops: dict = {}
-    acc: dict = {}
 
-    def post(j, whisker):
+    def make(key):
+        j, whisker, e = key
+        sign = (-1) ** j
         if whisker is None:
-            return lambda val: val
+            return term_operator(C, e, e, sign, lambda val: val)
         unit = C.id2(C.identity_cell[whisker])
         if j == 0:
-            return lambda val: G.tensor2(unit, val)
-        return lambda val: G.tensor2(val, unit)
+            return term_operator(C, e, e, sign,
+                                 lambda val: G.tensor2(unit, val))
+        return term_operator(C, e, e, sign, lambda val: G.tensor2(val, unit))
 
-    def add_term(row0, T_in, j, whisker):
-        if not sp_in.tuple_dims.get(T_in):
-            return
-        e = sp_in.id_cell(T_in)
-        op_key = (j, whisker, e)
-        op = ops.get(op_key)
-        if op is None:
-            op = ops[op_key] = term_operator(C, e, e, (-1) ** j,
-                                             post(j, whisker))
-        accumulate(acc, K.add, row0, sp_in.pos[(T_in, 0)], op)
-
-    for T in sp_out.tuples:
-        if not sp_out.tuple_dims[T]:
+    asm = Assembler(sp_out.dim_free, sp_in.dim_free, C.field, make)
+    for T, (row0, d, _, _) in sp_out.slots.items():
+        if not d:
             continue
-        row0 = sp_out.pos[(T, 0)]
         k = len(T)  # degree + 2 objects
-        add_term(row0, T[1:], 0, T[0])
-        for i in range(1, k):
-            add_term(row0, T[:i - 1] + (G.tobj(T[i - 1], T[i]),) + T[i + 1:],
-                     i, None)
-        add_term(row0, T[:-1], k, T[-1])
-    return matrix_from_entries(sp_out.dim_free, sp_in.dim_free, K, acc)
+        terms = ([(T[1:], 0, T[0])]
+                 + [(T[:i - 1] + (G.tobj(T[i - 1], T[i]),) + T[i + 1:], i,
+                     None) for i in range(1, k)]
+                 + [(T[:-1], k, T[-1])])
+        for T_in, j, whisker in terms:
+            s = sp_in.slots.get(T_in)
+            if s is not None and s[1]:
+                asm.add((j, whisker, s[2]), row0, s[0])
+    return asm.matrix()
 
 
 @per_structure
@@ -365,32 +314,30 @@ def phi_matrix(G: GraySemigroup, degree: int) -> SparseMatrix:
     """Chain map phi: pentagonator degree d -> bicomplex bidegree (0, d):
     (phi n)(f) = n_{targets} o 1_{(x)f} - 1_{(x)f} o n_{sources}.
 
-    Each of the two terms is keyed by its sign, the whiskering cell (x)f
-    and the identity 1-cell of its object tuple, and computed once per
-    key."""
+    The Assembler key of each of the two terms is its sign, the whiskering
+    cell (x)f and the identity 1-cell of its object tuple."""
     C = G.base
-    K = C.field
     sp_in = pent_space(G, degree)
     sp_out = bicomplex_space(G, 0, degree).pf
-    ops: dict = {}
-    acc: dict = {}
+
+    def make(key):
+        sign, tf, e = key
+        unit = C.id2(tf)
+        if sign == 1:
+            return term_operator(C, e, e, sign,
+                                 lambda val: C.hcomp(val, unit))
+        return term_operator(C, e, e, sign, lambda val: C.hcomp(unit, val))
+
+    asm = Assembler(sp_out.dim_free, sp_in.dim_free, C.field, make)
     for tup, slot in sp_out.slots.items():
         f = tup[0]  # a (degree+1)-tuple of composable-free base cells
         tf = G.tcell_many(f)
         for sign, T in ((1, tuple(C.cell_tgt[c] for c in f)),
                         (-1, tuple(C.cell_src[c] for c in f))):
-            if not sp_in.tuple_dims.get(T):
-                continue
-            e = sp_in.id_cell(T)
-            op_key = (sign, tf, e)
-            op = ops.get(op_key)
-            if op is None:
-                unit = C.id2(tf)
-                post = ((lambda val: C.hcomp(val, unit)) if sign == 1
-                        else (lambda val: C.hcomp(unit, val)))
-                op = ops[op_key] = term_operator(C, e, e, sign, post)
-            accumulate(acc, K.add, slot[0], sp_in.pos[(T, 0)], op)
-    return matrix_from_entries(sp_out.dim_free, sp_in.dim_free, K, acc)
+            s = sp_in.slots.get(T)
+            if s is not None and s[1]:
+                asm.add((sign, tf, s[2]), slot[0], s[0])
+    return asm.matrix()
 
 
 # ----- total complexes --------------------------------------------------
@@ -399,7 +346,7 @@ def phi_matrix(G: GraySemigroup, degree: int) -> SparseMatrix:
 @dataclass(frozen=True)
 class ComplexSelection:
     kind: str
-    qmax: int = DEFAULT_TOTAL_CAP
+    qmax: ClassVar[int] = DEFAULT_TOTAL_CAP
 
     def __post_init__(self):
         if self.kind not in SELECTION_KINDS:
@@ -423,6 +370,15 @@ def _summands(kind: str, q: int):
     if kind in ("pent_restricted", "pent_general"):
         return [("pent", q)] if q >= 0 else []
     raise ValueError(kind)
+
+
+def summand_space(G: GraySemigroup, desc):
+    """The space of one summand: X_s^{m,n} for ("bi", m, n), the
+    pentagonator space of degree d for ("pent", d).  Both give the layout
+    (slots, dim_free) and their own constraints and basis."""
+    if desc[0] == "bi":
+        return bicomplex_space(G, desc[1], desc[2])
+    return pent_space(G, desc[1])
 
 
 @dataclass
@@ -475,51 +431,34 @@ class TotalSpace:
         vector of total free coordinates assigns, summands and tuples in
         order."""
         C = self.G.base
-        ends = self.offsets[1:] + [self.dim_free]
-        for desc, off, end in zip(self.summands, self.offsets, ends):
-            local = Vector(end - off, {i - off: v
-                                       for i, v in vec.entries.items()
-                                       if off <= i < end})
-            if desc[0] == "bi":
-                space = bicomplex_space(self.G, desc[1], desc[2]).pf
-            else:
-                space = pent_space(self.G, desc[1])
-            for t in space.tuples:
-                tm = space.value(local, t)
+        for desc, off in zip(self.summands, self.offsets):
+            for t, slot in summand_space(self.G, desc).slots.items():
+                tm = fiber_value(C.field, slot, vec, off)
                 if not C.is_zero2(tm):
                     yield desc, t, tm
 
 
-def _summand_dim(G: GraySemigroup, desc) -> int:
-    if desc[0] == "bi":
-        return bicomplex_space(G, desc[1], desc[2]).dim_free
-    return pent_space(G, desc[1]).dim_free
+# the condition a selection adds to each of its summands' own constraints
+_SELECTION_CONDITIONS = {"ass": delta_h_matrix, "tens": delta_v_matrix,
+                         "pent_restricted": phi_matrix}
 
 
 def _summand_constraints(G: GraySemigroup, kind: str, desc) -> SparseMatrix:
     """Constraint matrix of one summand under selection kind."""
-    if desc[0] == "bi":
-        _, m, n = desc
-        cons = bicomplex_space(G, m, n).constraints
-        if kind == "ass":
-            cons = vstack(cons, delta_h_matrix(G, m, n))
-        elif kind == "tens":
-            cons = vstack(cons, delta_v_matrix(G, m, n))
+    cons = summand_space(G, desc).constraints
+    condition = _SELECTION_CONDITIONS.get(kind)
+    if condition is None:
         return cons
-    _, d = desc
-    return pent_space(G, d, restricted=(kind == "pent_restricted")).constraints
+    return vstack(cons, condition(G, *desc[1:]))
 
 
 @per_structure
 def _summand_kernel(G: GraySemigroup, kind: str, desc):
     """Kernel basis of one summand's constraints under selection kind;
     where kind adds no condition it is the summand space's own basis."""
-    if desc[0] == "pent":
-        return pent_space(G, desc[1],
-                          restricted=(kind == "pent_restricted")).basis
-    if kind in ("ass", "tens"):
+    if kind in _SELECTION_CONDITIONS:
         return kernel_basis(_summand_constraints(G, kind, desc))
-    return bicomplex_space(G, desc[1], desc[2]).basis
+    return summand_space(G, desc).basis
 
 
 @per_structure
@@ -529,7 +468,7 @@ def total_space(G: GraySemigroup, sel: ComplexSelection, q: int) -> TotalSpace:
     dim = 0
     for desc in summands:
         offsets.append(dim)
-        dim += _summand_dim(G, desc)
+        dim += summand_space(G, desc).dim_free
     return TotalSpace(G, sel.kind, q, summands, offsets, dim)
 
 
@@ -570,28 +509,31 @@ def _blocks(G: GraySemigroup, kind: str, q: int):
 @per_structure
 def total_differential(G: GraySemigroup, sel: ComplexSelection,
                        q: int) -> SparseMatrix:
+    """The differential from total degree q to q + 1: each block of
+    _blocks is one Assembler term, at the offsets of its two summands."""
     K = G.base.field
     src = total_space(G, sel, q)
     tgt = total_space(G, sel, q + 1)
     src_off = {desc: off for desc, off in zip(src.summands, src.offsets)}
     tgt_off = {desc: off for desc, off in zip(tgt.summands, tgt.offsets)}
-    acc: dict = {}
-    for sdesc, tdesc, block, scalar in _blocks(G, sel.kind, q):
-        if tdesc not in tgt_off:
-            continue
-        so, to = src_off[sdesc], tgt_off[tdesc]
-        accumulate(acc, K.add, to, so,
-                   [(i, j, K.mul(scalar, v))
-                    for (i, j), v in block.entries.items()])
-    return matrix_from_entries(tgt.dim_free, src.dim_free, K, acc)
+    blocks = {(sdesc, tdesc): (block, scalar)
+              for sdesc, tdesc, block, scalar in _blocks(G, sel.kind, q)
+              if tdesc in tgt_off}
+
+    def make(key):
+        block, scalar = blocks[key]
+        return [(i, j, K.mul(scalar, v))
+                for (i, j), v in block.entries.items()]
+
+    asm = Assembler(tgt.dim_free, src.dim_free, K, make)
+    for sdesc, tdesc in blocks:
+        asm.add((sdesc, tdesc), tgt_off[tdesc], src_off[sdesc])
+    return asm.matrix()
 
 
 def assemble_complex(G: GraySemigroup, sel: ComplexSelection):
     """Spaces for q = 1..qmax+1 and differential matrices for q = 1..qmax;
     consecutive products are checked to vanish on the constrained bases."""
-    if sel.qmax > DEFAULT_TOTAL_CAP:
-        raise CapExceeded(
-            f"total degree {sel.qmax} exceeds cap {DEFAULT_TOTAL_CAP}")
     spaces = {q: total_space(G, sel, q) for q in range(1, sel.qmax + 2)}
     diffs = {q: total_differential(G, sel, q) for q in range(1, sel.qmax + 1)}
     for q in range(1, sel.qmax):

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .defcomplex import (
     ComplexSelection,
-    bicomplex_space,
-    pent_space,
+    summand_space,
     total_differential,
     total_space,
 )
@@ -986,14 +985,20 @@ def equivalence_shift(G: GraySemigroup,
 # ----- coordinates <-> sparse data --------------------------------------
 
 
-def _bi_family(desc):
-    if desc[1:] == (1, 1):
-        return "tensorator1"
-    if desc[1:] == (0, 2):
-        return "associator1"
-    if desc[1:] == (0, 1):
-        return "psi1"
-    raise ValueError(f"summand {desc} carries no deformation or gauge data")
+# the deformation or gauge family each summand carries, and whether that
+# family is keyed by the one letter of a tuple rather than by the tuple
+_FAMILIES = {("bi", 1, 1): ("tensorator1", False),
+             ("bi", 0, 2): ("associator1", True),
+             ("bi", 0, 1): ("psi1", True),
+             ("pent", 2): ("omega1", False),
+             ("pent", 3): ("pentagonator1", False)}
+
+
+def _family(desc):
+    if desc not in _FAMILIES:
+        raise ValueError(
+            f"summand {desc} carries no deformation or gauge data")
+    return _FAMILIES[desc]
 
 
 def _families_from_vector(G: GraySemigroup, kind: str, q: int, vec: Vector):
@@ -1004,11 +1009,8 @@ def _families_from_vector(G: GraySemigroup, kind: str, q: int, vec: Vector):
     out = {"tensorator1": {}, "associator1": {}, "pentagonator1": {},
            "psi1": {}, "omega1": {}}
     for desc, t, tm in sp.nonzero_values(vec):
-        if desc[0] == "bi":
-            family = _bi_family(desc)
-            out[family][t if family == "tensorator1" else t[0]] = tm
-        else:
-            out["omega1" if desc[1] == 2 else "pentagonator1"][t] = tm
+        family, by_letter = _family(desc)
+        out[family][t[0] if by_letter else t] = tm
     return out
 
 
@@ -1041,23 +1043,14 @@ def _families_to_vector(G: GraySemigroup, kind: str, q: int,
     entries = {}
     consumed = set()
     for desc, off in zip(sp.summands, sp.offsets):
-        if desc[0] == "bi":
-            pf = bicomplex_space(G, desc[1], desc[2]).pf
-            family = _bi_family(desc)
-            for key, tm in families.get(family, {}).items():
-                t = key if family == "tensorator1" else (key,)
-                for b, c in enumerate(tm.coeffs):
-                    if not K.is_zero(c):
-                        entries[off + pf.pos[(t, b)]] = c
-            consumed.add(family)
-        else:
-            psp = pent_space(G, desc[1])
-            family = "omega1" if desc[1] == 2 else "pentagonator1"
-            for T, tm in families.get(family, {}).items():
-                for b, c in enumerate(tm.coeffs):
-                    if not K.is_zero(c):
-                        entries[off + psp.pos[(tuple(T), b)]] = c
-            consumed.add(family)
+        family, by_letter = _family(desc)
+        slots = summand_space(G, desc).slots
+        for key, tm in families.get(family, {}).items():
+            first = slots[(key,) if by_letter else tuple(key)][0]
+            for b, c in enumerate(tm.coeffs):
+                if not K.is_zero(c):
+                    entries[off + first + b] = c
+        consumed.add(family)
     for family, data in families.items():
         if family in consumed:
             continue
@@ -1358,15 +1351,6 @@ class ExtendedStructure:
         self.deformation = deformation
         self._E = _Eps(G)
         self._cells = _DeformedCells(G, deformation)
-
-    def tensorator(self, fp, gp, f, g) -> ECell:
-        return self._cells.tens((fp, gp), (f, g))
-
-    def associator(self, f, g, h) -> ECell:
-        return self._cells.ass3(f, g, h)
-
-    def pentagonator(self, T) -> ECell:
-        return self._cells.pent4(T)
 
     def reduce(self) -> GraySemigroup:
         """Set eps = 0; validate() confirms the lead components coincide

@@ -30,6 +30,7 @@ from .twocat import (
     TwoMorphism,
     ValidationReport,
     product_many,
+    times,
     validate_pseudofunctor,
 )
 
@@ -146,11 +147,19 @@ def tensor_power(G: GraySemigroup, n: int) -> Pseudofunctor:
         raise ValueError("tensor power needs n >= 1")
     C = G.base
     K = C.field
-    dom = product_many([C] * n)
-    prev = tensor_power(G, n - 1) if n > 1 else None
-
-    obj_map = {X: G.tobj_many(X) for X in dom.objects}
-    cell_map = {f: G.tcell_many(f) for f in dom.cell_src}
+    if n == 1:
+        prev = None
+        dom = product_many([C])
+        obj_map = {X: X[0] for X in dom.objects}
+        cell_map = {f: f[0] for f in dom.cell_src}
+    else:
+        # C^n = C^{n-1} x C, and the tensor folds from the left
+        prev = tensor_power(G, n - 1)
+        dom = times(prev.dom, C)
+        obj_map = {X: G.tobj(prev.obj_map[X[:-1]], X[-1])
+                   for X in dom.objects}
+        cell_map = {f: G.tcell(prev.cell_map[f[:-1]], f[-1])
+                    for f in dom.cell_src}
 
     # column (i, j) of a product Hom2 space: the image of basis 2-cell i
     # of the first n - 1 factors, tensored with basis 2-cell j of the last
@@ -201,8 +210,8 @@ def tensor_power(G: GraySemigroup, n: int) -> Pseudofunctor:
 
         for (g, f) in dom.compose1:
             rest_g, rest_f = g[1:], f[1:]
-            tg_rest = G.tcell_many(rest_g)
-            tf_rest = G.tcell_many(rest_f)
+            tg_rest = prev.cell_map[rest_g]
+            tf_rest = prev.cell_map[rest_f]
             # right-nested: peel the first factor
             first = G.tensorator(g[0], tg_rest, f[0], tf_rest)
             fhat[(g, f)] = right_nested(C.compose(g[0], f[0]),

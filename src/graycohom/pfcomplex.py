@@ -55,11 +55,10 @@ class CochainSpace:
     F: Pseudofunctor
     degree: int
     tuples: list
-    index: list          # [(tuple, basis_idx)]
-    pos: dict            # (tuple, basis_idx) -> coordinate
-    tuple_dims: dict     # tuple -> fiber dimension
-    # tuple -> (first coordinate, fiber dimension, src, tgt); the fiber of
-    # a tuple occupies consecutive coordinates
+    index: list = field(default_factory=list)   # [(tuple, basis_idx)]
+    pos: dict = field(default_factory=dict)     # (tuple, basis_idx) -> coord
+    # tuple -> (first coordinate, fiber dimension, src, tgt), where src is
+    # F(f_0) o ... o F(f_k) and tgt is F(f_0 o ... o f_k); filled by place
     slots: dict = field(default_factory=dict)
     _constraints: SparseMatrix | None = None
     _basis: list | None = None
@@ -91,21 +90,31 @@ class CochainSpace:
             self._basis = kernel_basis(self.constraints)
         return self._basis
 
-    def endpoints(self, t):
-        """(F(f_0) o ... o F(f_k), F(f_0 o ... o f_k)) for a tuple t."""
-        return self.slots[t][2:]
-
     def value(self, vec: Vector, t) -> TwoMorphism:
         """The 2-morphism a coordinate vector assigns to tuple t."""
-        K = self.F.cod.field
-        src, tgt = self.endpoints(t)
-        d = self.tuple_dims[t]
-        coeffs = [K.zero()] * d
-        for b in range(d):
-            c = vec.entries.get(self.pos[(t, b)])
-            if c is not None:
-                coeffs[b] = c
-        return TwoMorphism(src, tgt, tuple(coeffs))
+        return fiber_value(self.F.cod.field, self.slots[t], vec)
+
+
+def place(space, t, src, tgt, d: int):
+    """Give tuple t the next d coordinates of space, for its fiber
+    Hom2(src, tgt) of dimension d.  This is the one coordinate layout of
+    every cochain space: the fiber of a tuple is one run of consecutive
+    coordinates, recorded in space.slots, space.pos and space.index."""
+    first = len(space.index)
+    space.slots[t] = (first, d, src, tgt)
+    for b in range(d):
+        space.pos[(t, b)] = first + b
+        space.index.append((t, b))
+
+
+def fiber_value(K, slot, vec: Vector, offset: int = 0) -> TwoMorphism:
+    """The 2-morphism vec assigns to the fiber slot (first, dim, src, tgt)
+    of a layout whose coordinate 0 is coordinate offset of vec."""
+    first, d, src, tgt = slot
+    get, zero = vec.entries.get, K.zero()
+    start = offset + first
+    return TwoMorphism(src, tgt,
+                       tuple([get(i, zero) for i in range(start, start + d)]))
 
 
 def _naturality_rows(space: CochainSpace):
@@ -115,7 +124,7 @@ def _naturality_rows(space: CochainSpace):
     K = D.field
     rows = []
     for t in space.tuples:
-        src_t, tgt_t = space.endpoints(t)
+        _, d_t, src_t, tgt_t = space.slots[t]
         for j, fj in enumerate(t):
             for fj2 in C.parallel_targets(fj):
                 for a in range(C.dim2(fj, fj2)):
@@ -131,21 +140,21 @@ def _naturality_rows(space: CochainSpace):
                     Fw = F.map2(w_dom)
                     out_dim = D.dim2(src_t, Fw.tgt)
                     new_rows = [dict() for _ in range(out_dim)]
-                    for b in range(space.tuple_dims[t]):
+                    for b in range(d_t):
                         e = TwoMorphism(src_t, tgt_t, tuple(
                             K.one() if i == b else K.zero()
-                            for i in range(space.tuple_dims[t])))
+                            for i in range(d_t)))
                         lhs = D.vcomp(Fw, e)
                         col = space.pos[(t, b)]
                         for k, v in enumerate(lhs.coeffs):
                             if not K.is_zero(v):
                                 new_rows[k][col] = K.add(
                                     new_rows[k].get(col, K.zero()), v)
-                    src2, tgt2 = space.endpoints(t2)
-                    for b in range(space.tuple_dims[t2]):
+                    _, d2, src2, tgt2 = space.slots[t2]
+                    for b in range(d2):
                         e2 = TwoMorphism(src2, tgt2, tuple(
                             K.one() if i == b else K.zero()
-                            for i in range(space.tuple_dims[t2])))
+                            for i in range(d2)))
                         rhs = D.vcomp(e2, w_cod)
                         col = space.pos[(t2, b)]
                         for k, v in enumerate(rhs.coeffs):
@@ -178,17 +187,12 @@ def pf_cochain_basis(F: Pseudofunctor, n: int,
         raise CapExceeded(f"degree {n} exceeds cap {cap}")
     C, D = F.dom, F.cod
     tuples = composable_tuples(C, n) if n >= 1 else []
-    space = CochainSpace(F, n, tuples, [], {}, {})
+    space = CochainSpace(F, n, tuples)
     suffixes: dict = {}
     for t in tuples:
         src, comp = _composites(F, t, suffixes)
         tgt = F.cell_map[comp]
-        d = D.dim2(src, tgt)
-        space.tuple_dims[t] = d
-        space.slots[t] = (len(space.index), d, src, tgt)
-        for b in range(d):
-            space.pos[(t, b)] = len(space.index)
-            space.index.append((t, b))
+        place(space, t, src, tgt, D.dim2(src, tgt))
     return space
 
 
@@ -222,39 +226,67 @@ def term_operator(D, src, tgt, sign, post):
     return tuple(entries)
 
 
-def matrix_from_entries(rows, cols, K, acc: dict) -> SparseMatrix:
-    """The matrix of accumulated in-range entries, zero sums dropped."""
-    M = SparseMatrix(rows, cols, K)
-    M.entries = {k: v for k, v in acc.items() if v}  # zero is 0 in Q and F_p
-    return M
+class Assembler:
+    """A differential matrix, assembled as a sum of terms.
 
+    Every differential here is an alternating sum of whiskered terms
+    x -> sign * post(x), each from the fiber of an input tuple to the
+    fiber of an output tuple.  A builder enumerates the terms and adds
+    each one by a key at (row0, col0), the first coordinates of the two
+    fibers.  The key determines the term's operator: its sign, its post
+    and its fiber Hom2(src, tgt), but not the tuples it sits at.  So the
+    operator of a key is computed once, by make(key) (usually through
+    term_operator), and reused by every term with that key.  make must be
+    a function of the key alone.  A builder that puts a 2-cell into its
+    keys puts in a number given to each distinct value (src, tgt,
+    coefficients), so equal keys give equal operators; delta_pf_matrix
+    and delta_v_matrix number their tuples' 1-cells too, so the per-term
+    lookups hash tuples of small ints.  total_differential adds whole
+    blocks, one term per block.
 
-def accumulate(acc: dict, add, row0: int, col0: int, op):
-    """acc[(row0 + k, col0 + b)] += v for every entry (k, b, v) of op."""
-    get = acc.get
-    for k, b, v in op:
-        key = (row0 + k, col0 + b)
-        cur = get(key)
-        acc[key] = v if cur is None else add(cur, v)
+    An operator is a sequence of entries (k, b, v): v is coefficient k of
+    the image of input basis element b, and lands at row row0 + k and
+    column col0 + b."""
+
+    def __init__(self, rows: int, cols: int, K, make):
+        self.rows, self.cols, self.field = rows, cols, K
+        self.make = make
+        self.ops: dict = {}
+        self.acc: dict = {}
+
+    def add(self, key, row0: int, col0: int):
+        """Add the operator of key at (row0, col0)."""
+        op = self.ops.get(key)
+        if op is None:
+            op = self.ops[key] = self.make(key)
+        acc = self.acc
+        get, add = acc.get, self.field.add
+        for k, b, v in op:
+            at = (row0 + k, col0 + b)
+            cur = get(at)
+            acc[at] = v if cur is None else add(cur, v)
+
+    def matrix(self) -> SparseMatrix:
+        """The sum of the terms added, with entries that cancel dropped."""
+        M = SparseMatrix(self.rows, self.cols, self.field)
+        M.entries = {k: v for k, v in self.acc.items() if v}  # 0 in Q, F_p
+        return M
 
 
 def delta_pf_matrix(F: Pseudofunctor, space_n: CochainSpace,
-                    space_n1: CochainSpace,
-                    padded: bool = False) -> SparseMatrix:
+                    space_n1: CochainSpace) -> SparseMatrix:
     """Matrix of the differential X^n -> X^{n+1} on free coordinates.
 
-    By default the three padded terms are evaluated through their closed
-    forms (one Fhat whiskering per term); with padded=True every term goes
-    through gray.pad instead, one basis 2-cell at a time and without any
-    reuse, as an independent oracle.  The two paths agree (asserted in
-    tests).
+    The three padded terms are evaluated through their closed forms (one
+    Fhat whiskering per term).  delta_pf_padded computes the same matrix
+    through gray.pad instead, as an independent oracle; the two agree
+    (tested).
 
-    Closed form: each term at an output tuple t is x -> sign * post(x) on
-    the fiber Hom2(src, tgt) of its input tuple t_in, where post whiskers
-    by an identity 2-cell and composes with a bridge built from an Fhat
-    cell.  Its matrix is computed once per key and reused across output
-    tuples.  The key holds the term's position (which fixes the sign), the
-    whisker data, and (src, tgt):
+    Each term at an output tuple t is x -> sign * post(x) on the fiber
+    Hom2(src, tgt) of its input tuple t_in, where post whiskers by an
+    identity 2-cell and composes with a bridge built from an Fhat cell.
+    Its Assembler key holds the term's position j (which fixes the sign),
+    the whisker data, the number of the Fhat cell and (src, tgt):
 
     * drop the first letter: F(f_0) and the cell Fhat(f_0, rest);
       post(x) = Fhat(f_0, rest) . (1_{F(f_0)} o x);
@@ -262,14 +294,7 @@ def delta_pf_matrix(F: Pseudofunctor, space_n: CochainSpace,
       Fhat(f_{i-1}, f_i); post(x) = x . (1 o ... o Fhat(f_{i-1}, f_i) o
       ... o 1);
     * drop the last letter: F(f_last) and the cell Fhat(front, f_last);
-      post(x) = Fhat(front, f_last) . (x o 1_{F(f_last)}).
-
-    Fhat cells enter the key by a number given to each distinct value
-    (src, tgt, coefficients), so post and the fiber basis are functions of
-    the key, and equal keys give equal operators.  Domain 1-cells are
-    numbered too, so the per-term lookups hash tuples of small ints."""
-    if padded:
-        return _delta_pf_padded(F, space_n, space_n1)
+      post(x) = Fhat(front, f_last) . (x o 1_{F(f_last)})."""
     C, D = F.dom, F.cod
     K = D.field
     if space_n.degree < 1:
@@ -278,41 +303,31 @@ def delta_pf_matrix(F: Pseudofunctor, space_n: CochainSpace,
     lid = {f: i for i, f in enumerate(C.cell_src)}
     image = [F.cell_map[f] for f in C.cell_src]
     comp = {(lid[g], lid[f]): lid[gf] for (g, f), gf in C.compose1.items()}
-    values: dict = {}
-    fhat = {}  # (g, f) numbers -> (value number, Fhat(g, f))
-    for (g, f), cell in F.fhat.items():
-        v = values.setdefault((cell.src, cell.tgt, cell.coeffs), len(values))
-        fhat[(lid[g], lid[f])] = (v, cell)
-    slots_in = {tuple([lid[f] for f in t]): slot
-                for t, slot in space_n.slots.items() if slot[1]}
-    ops: dict = {}
-    acc: dict = {}
+    numbers: dict = {}  # Fhat cell -> its number
+    fhat = {(lid[g], lid[f]): numbers.setdefault(cell, len(numbers))
+            for (g, f), cell in F.fhat.items()}
+    cells = list(numbers)
+    slots_in = {tuple([lid[f] for f in t]): (first, src, tgt)
+                for t, (first, d, src, tgt) in space_n.slots.items() if d}
 
-    def post(j, whisker, cell):
+    def make(key):
+        j, whisker, v, src, tgt = key
+        cell, sign = cells[v], (-1) ** j
         if j == 0:
             head = D.id2(whisker)
-            return lambda val: D.vcomp(cell, D.hcomp(head, val))
+            return term_operator(D, src, tgt, sign, lambda val: D.vcomp(
+                cell, D.hcomp(head, val)))
         if j == n1:
             tail = D.id2(whisker)
-            return lambda val: D.vcomp(cell, D.hcomp(val, tail))
+            return term_operator(D, src, tgt, sign, lambda val: D.vcomp(
+                cell, D.hcomp(val, tail)))
         left, right = whisker
         bridge = D.hcomp_many([D.id2(x) for x in left] + [cell]
                               + [D.id2(x) for x in right])
-        return lambda val: D.vcomp(val, bridge)
+        return term_operator(D, src, tgt, sign,
+                             lambda val: D.vcomp(val, bridge))
 
-    def add_term(row0, t_in, j, whisker, bridge):
-        slot = slots_in.get(t_in)
-        if slot is None:
-            return
-        col0, _, src, tgt = slot
-        v, cell = bridge
-        key = (j, whisker, v, src, tgt)
-        op = ops.get(key)
-        if op is None:
-            op = ops[key] = term_operator(D, src, tgt, (-1) ** j,
-                                          post(j, whisker, cell))
-        accumulate(acc, K.add, row0, col0, op)
-
+    asm = Assembler(space_n1.dim_free, space_n.dim_free, K, make)
     for t, slot in space_n1.slots.items():
         row0 = slot[0]
         ids = tuple([lid[f] for f in t])
@@ -321,24 +336,31 @@ def delta_pf_matrix(F: Pseudofunctor, space_n: CochainSpace,
         rest = ids[-1]
         for a in ids[-2:0:-1]:
             rest = comp[(a, rest)]
-        add_term(row0, ids[1:], 0, images[0], fhat[(ids[0], rest)])
+        terms = [(ids[1:], 0, images[0], fhat[(ids[0], rest)])]
         # merge letters i-1 and i: value . whiskered Fhat(f_{i-1}, f_i)
         for i in range(1, n1):
             pair = (ids[i - 1], ids[i])
-            add_term(row0, ids[:i - 1] + (comp[pair],) + ids[i + 1:], i,
-                     (tuple(images[:i - 1]), tuple(images[i + 1:])),
-                     fhat[pair])
+            terms.append((ids[:i - 1] + (comp[pair],) + ids[i + 1:], i,
+                          (tuple(images[:i - 1]), tuple(images[i + 1:])),
+                          fhat[pair]))
         # drop the last letter: Fhat(front, f_last) . (value o 1)
         front = ids[-2]
         for a in ids[-3::-1]:
             front = comp[(a, front)]
-        add_term(row0, ids[:-1], n1, images[-1], fhat[(front, ids[-1])])
-    return matrix_from_entries(space_n1.dim_free, space_n.dim_free, K, acc)
+        terms.append((ids[:-1], n1, images[-1], fhat[(front, ids[-1])]))
+        for t_in, j, whisker, v in terms:
+            s = slots_in.get(t_in)
+            if s is not None:
+                col0, src, tgt = s
+                asm.add((j, whisker, v, src, tgt), row0, col0)
+    return asm.matrix()
 
 
-def _delta_pf_padded(F: Pseudofunctor, space_n: CochainSpace,
-                     space_n1: CochainSpace) -> SparseMatrix:
-    """The differential with every term padded through gray.pad."""
+def delta_pf_padded(F: Pseudofunctor, space_n: CochainSpace,
+                    space_n1: CochainSpace) -> SparseMatrix:
+    """The matrix of delta_pf_matrix, with every term padded through
+    gray.pad one basis 2-cell at a time and nothing reused: the
+    independent oracle for the closed form."""
     C, D = F.dom, F.cod
     K = D.field
     M = SparseMatrix(space_n1.dim_free, space_n.dim_free, K)
@@ -346,10 +368,10 @@ def _delta_pf_padded(F: Pseudofunctor, space_n: CochainSpace,
         return M
     for t in space_n1.tuples:
         for sign, t_in, src_blocks, tgt_blocks, whisker in _delta_terms(C, t):
-            d = space_n.tuple_dims.get(t_in)
-            if not d:
+            slot = space_n.slots.get(t_in)
+            if slot is None or not slot[1]:
                 continue
-            src, tgt = space_n.endpoints(t_in)
+            _, d, src, tgt = slot
             s = K.one() if sign == 1 else K.from_int(sign)
             for b in range(d):
                 val = TwoMorphism(src, tgt, tuple(

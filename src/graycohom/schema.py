@@ -216,6 +216,27 @@ def _check_consts(name, key, consts, dims, dim_out):
                                       f"{k} outside dimension {dim_out}")
 
 
+def _check_known(name, table, known):
+    """Every value of table names a member of known: an object or a
+    1-cell the document declares."""
+    for key, x in table.items():
+        if x not in known:
+            raise SchemaError(f"{name} of {key!r} names unknown {x!r}")
+
+
+def _check_references(objects, cell_src, cell_tgt, identity_cell,
+                      id2_coeffs):
+    """Every endpoint names a declared object, every identity 1-cell a
+    declared 1-cell, and every 1-cell has identity coefficients."""
+    objects = set(objects)
+    _check_known("cellSrc", cell_src, objects)
+    _check_known("cellTgt", cell_tgt, objects)
+    _check_known("identityCell", identity_cell, cell_src)
+    for f in cell_src:
+        if f not in id2_coeffs:
+            raise SchemaError(f"id2Coeffs has no entry for {f!r}")
+
+
 def _check_hom2_shapes(hom2_dim, id2_coeffs, compose1, vcomp_const,
                        hcomp_const):
     """Every identity 2-cell has hom2Dim(f, f) coefficients, and every
@@ -272,6 +293,7 @@ def _two_category_from_body(doc) -> TwoCategory:
                                     _dec_consts)
     except KeyError as e:
         raise SchemaError(f"missing key {e}") from e
+    _check_references(objects, cell_src, cell_tgt, identity_cell, id2_coeffs)
     _check_hom2_shapes(hom2_dim, id2_coeffs, compose1, vcomp_const,
                        hcomp_const)
     return TwoCategory(field_, objects, one_cells, cell_src, cell_tgt,
@@ -320,6 +342,7 @@ def gray_from_json(doc) -> GraySemigroup:
                                    decode_two_morphism)
     except KeyError as e:
         raise SchemaError(f"missing key {e}") from e
+    _check_known("tensorObjects", tensor_obj, set(base.objects))
     _check_tensor_shapes(base, tensor1, tensor2_const, tensorator)
     return GraySemigroup(base, tensor_obj, tensor1, tensor2_const,
                          tensorator)
@@ -329,14 +352,20 @@ def _check_tensor_shapes(base: TwoCategory, tensor1, tensor2_const,
                          tensorator):
     """Every tensor2Const index fits its Hom2 spaces: an index pair (i, j)
     below the dimensions of (f, f2) and (g, g2), an output index below
-    that of (f (x) g, f2 (x) g2).  Every tensorator entry has as many
-    coefficients as the Hom2 space between its endpoints."""
+    that of (f (x) g, f2 (x) g2).  The tensorator has an entry for every
+    two composable pairs, with as many coefficients as the Hom2 space
+    between its endpoints."""
     dim = base.dim2
     for (f, f2, g, g2), consts in tensor2_const.items():
         fg, f2g2 = tensor1.get((f, g)), tensor1.get((f2, g2))
         _check_consts("tensor2Const", (f, f2, g, g2), consts,
                       (dim(f, f2), dim(g, g2)),
                       None if fg is None or f2g2 is None else dim(fg, f2g2))
+    for fp, f in base.compose1:
+        for gp, g in base.compose1:
+            if (fp, gp, f, g) not in tensorator:
+                raise SchemaError(f"tensorator has no entry for "
+                                  f"{(fp, gp, f, g)!r}")
     for key, t in tensorator.items():
         if len(t.coeffs) != dim(t.src, t.tgt):
             raise SchemaError(f"tensorator of {key!r} has {len(t.coeffs)} "

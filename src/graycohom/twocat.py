@@ -391,7 +391,7 @@ def _kron_table(K, ta, tb, dims_b):
     return dict(sorted(table.items()))
 
 
-def _times(A: TwoCategory, B: TwoCategory) -> TwoCategory:
+def times(A: TwoCategory, B: TwoCategory) -> TwoCategory:
     """A x B, where the labels of A are tuples: a product label is an A
     label with the B component appended, and the product 2-cell with
     factor indices (i_A, i_B) has index i_A * dim_B + i_B."""
@@ -493,7 +493,7 @@ def product_many(cats: list[TwoCategory]) -> TwoCategory:
     for D in cats:
         if D.field != K:
             raise ValueError("field mismatch in product")
-        out = _times(out, D)
+        out = times(out, D)
     return out
 
 

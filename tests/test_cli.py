@@ -67,8 +67,9 @@ def test_validate_malformed_input_exits_2():
                   "families": []}))
     assert code == cli.EXIT_PARSE
     # a Hom2 dimension raised above its identity coefficients, structure
-    # constants indexing past their input or output Hom2 spaces, and a
-    # tensorator entry longer than its Hom2 space
+    # constants indexing past their input or output Hom2 spaces, a
+    # tensorator entry longer than its Hom2 space, unknown references and
+    # missing entries
     def export():
         return cli.run_export("z2-fiber", "p=3")[1]
 
@@ -87,6 +88,15 @@ def test_validate_malformed_input_exits_2():
         doc = export()          # an output index out of range
         first_consts(doc, table)[0][1][0][0] += 1
         bads.append(doc)
+    # a reference to an unknown object or 1-cell, and a missing entry
+    refs = [export() for _ in range(6)]
+    refs[0]["base"]["cellSrc"][0][1] = ["i", 7]
+    refs[1]["base"]["cellTgt"][0][1] = ["i", 7]
+    refs[2]["tensorObjects"][0][1] = ["i", 7]
+    refs[3]["base"]["identityCell"][0][1] = ["t", ["i", 0], ["i", 7]]
+    del refs[4]["tensorator"][0]
+    del refs[5]["base"]["id2Coeffs"][0]
+    bads += refs
     for bad in bads:
         text = sc.dumps(bad)
         code, out = cli.run_validate(text)

@@ -487,8 +487,8 @@ def test_library_has_no_assert_statements():
 def test_derived_tables_live_in_the_memo_only():
     """Building complexes, classifying and extending add no attribute to
     the structure or its base 2-category; every derived table goes into
-    G.memo, where a spelled-out default shares the value of a left-out
-    one."""
+    G.memo, where an argument passed by name shares the value of one
+    passed by position."""
     G = group_model(GroupModelSpec(
         trivial_group(), cyclic_group(2),
         trivial_bicharacter(cyclic_group(2), GF(2)), GF(2)))
@@ -508,4 +508,4 @@ def test_derived_tables_live_in_the_memo_only():
     assert set(vars(G)) == names
     assert set(vars(G.base)) == base_names
     assert G.memo
-    assert pent_space(G, 2) is pent_space(G, 2, restricted=False)
+    assert pent_space(G, 2) is pent_space(G, degree=2)

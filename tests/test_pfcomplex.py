@@ -15,6 +15,7 @@ from graycohom.exactlinalg import (
 from graycohom.examples import deloop, group_algebra_monoidal
 from graycohom.gray import tensor_power
 from graycohom.pfcomplex import (
+    Assembler,
     CapExceeded,
     PFCochain,
     check_unitary_lemma,
@@ -22,8 +23,10 @@ from graycohom.pfcomplex import (
     composable_tuples,
     delta_pf,
     delta_pf_matrix,
+    delta_pf_padded,
     pf_cochain_basis,
     pf_cohomology,
+    term_operator,
 )
 from graycohom.twocat import identity_pseudofunctor
 
@@ -61,8 +64,44 @@ def test_padded_and_closed_form_differentials_agree(g_sign3, n):
     sp = pf_cochain_basis(F, n)
     sp1 = pf_cochain_basis(F, n + 1)
     fast = delta_pf_matrix(F, sp, sp1)
-    slow = delta_pf_matrix(F, sp, sp1, padded=True)
+    slow = delta_pf_padded(F, sp, sp1)
     assert fast.entries == slow.entries
+
+
+def test_assembler_puts_operator_rows_and_columns_in_place():
+    """An operator entry (k, b, v) lands at row row0 + k and column
+    col0 + b, and sums that cancel are dropped.  The term is the cyclic
+    shift x -> e_1 . x on the group algebra of Z/3, whose matrix is not
+    symmetric; the assembled matrix is compared with literal evaluation,
+    one column at a time."""
+    C = deloop(group_algebra_monoidal(3, GF(5)))
+    K = C.field
+    f = 0
+    e1 = C.basis2(f, f, 1)
+
+    def shift(x):
+        return C.vcomp(e1, x)
+
+    op = term_operator(C, f, f, 1, shift)
+    assert {(k, b) for k, b, _ in op} != {(b, k) for k, b, _ in op}
+    terms = [(2, 1, 4), (-1, 4, 0), (1, 4, 0)]  # (sign, row0, col0)
+    asm = Assembler(7, 8, K,
+                    lambda sign: term_operator(C, f, f, sign, shift))
+    for sign, row0, col0 in terms:
+        asm.add(sign, row0, col0)
+    M = asm.matrix()
+    for col in range(M.cols):
+        expected = [K.zero()] * M.rows
+        for sign, row0, col0 in terms:
+            if col0 <= col < col0 + 3:
+                image = shift(C.basis2(f, f, col - col0))
+                for k, v in enumerate(image.coeffs):
+                    expected[row0 + k] = K.add(expected[row0 + k],
+                                               K.mul(K.from_int(sign), v))
+        got = M.mul_vector(Vector(M.cols, {col: K.one()}))
+        assert got.entries == {i: v for i, v in enumerate(expected)
+                               if not K.is_zero(v)}
+    assert not any(i >= 4 and j < 4 for i, j in M.entries)
 
 
 def test_differential_squares_to_zero_on_cochains(g_fiber2, FK):
