@@ -110,7 +110,9 @@ def _on_gray(text: str, command, *args):
     """Parse and validate a Gray semigroup document, then return
     command(G, *args).  G.memo is cleared on the way out: the tables it
     holds refer back to G, so without that G would outlive the command
-    until the next full garbage collection."""
+    until the next full garbage collection.  validate and export clear it
+    for the same reason: the tensor powers that validate_gray leaves in
+    it build their tables from G on first read."""
     try:
         G = _load_gray(text)
     except sc.SchemaError as e:
@@ -130,7 +132,10 @@ def run_validate(text: str):
     except sc.SchemaError as e:
         return EXIT_PARSE, {"error": str(e)}
     if isinstance(obj, GraySemigroup):
-        rep = validate_gray(obj)
+        try:
+            rep = validate_gray(obj)
+        finally:
+            obj.memo.clear()
     elif isinstance(obj, TwoCategory):
         rep = validate_two_category(obj)
     else:
@@ -269,7 +274,10 @@ def run_export(name: str, field_text: str):
     except (sc.SchemaError, KeyError, ValueError) as e:
         return EXIT_PARSE, {"error": str(e)}
     G = group_model(spec)
-    rep = validate_gray(G)
+    try:
+        rep = validate_gray(G)
+    finally:
+        G.memo.clear()
     if not rep.ok:
         raise AssertionError(
             f"generated structure failed validation: {rep.violations[:3]}")

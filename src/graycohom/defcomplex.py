@@ -155,7 +155,12 @@ def delta_v_matrix(G: GraySemigroup, m: int, n: int) -> SparseMatrix:
     dom = sp_out.F.dom
     letters = list(dom.cell_src)
     lid = {f: i for i, f in enumerate(letters)}
-    comp = {(lid[g], lid[f]): lid[gf] for (g, f), gf in dom.compose1.items()}
+    # composites are looked up only for output tuples of two or more
+    # letters, so the m = 0 matrices leave the compose1 of C^{n+2} unbuilt
+    comp = {}
+    if m >= 1:
+        comp = {(lid[g], lid[f]): lid[gf]
+                for (g, f), gf in dom.compose1.items()}
     in_lid: dict = {}
     slots_in = {tuple([in_lid.setdefault(f, len(in_lid)) for f in t]):
                 (first, src, tgt)

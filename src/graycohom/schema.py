@@ -224,17 +224,42 @@ def _check_known(name, table, known):
             raise SchemaError(f"{name} of {key!r} names unknown {x!r}")
 
 
-def _check_references(objects, cell_src, cell_tgt, identity_cell,
-                      id2_coeffs):
-    """Every endpoint names a declared object, every identity 1-cell a
-    declared 1-cell, and every 1-cell has identity coefficients."""
+def _check_references(objects, one_cells, cell_src, cell_tgt,
+                      identity_cell, id2_coeffs, compose1):
+    """Every endpoint names a declared object, every 1-cell has both
+    endpoints and is listed once in oneCells under them, every object has
+    an identity 1-cell from itself to itself, every 1-cell has identity
+    coefficients, and every composable pair a composite."""
     objects = set(objects)
     _check_known("cellSrc", cell_src, objects)
     _check_known("cellTgt", cell_tgt, objects)
-    _check_known("identityCell", identity_cell, cell_src)
+    for name, table, other in (("cellTgt", cell_tgt, cell_src),
+                               ("cellSrc", cell_src, cell_tgt)):
+        for f in other:
+            if f not in table:
+                raise SchemaError(f"{name} has no entry for {f!r}")
+    listed = set()
+    for (X, Y), cells in one_cells.items():
+        for f in cells:
+            if (cell_src.get(f), cell_tgt.get(f)) != (X, Y) or f in listed:
+                raise SchemaError(f"oneCells lists {f!r} under {(X, Y)!r}")
+            listed.add(f)
+    for f in cell_src:
+        if f not in listed:
+            raise SchemaError(f"oneCells does not list {f!r}")
+    if set(identity_cell) != objects:
+        raise SchemaError("identityCell does not name one 1-cell per object")
+    for X, e in identity_cell.items():
+        if (cell_src.get(e), cell_tgt.get(e)) != (X, X):
+            raise SchemaError(f"identityCell of {X!r} names {e!r}, which is"
+                              f" not a 1-cell {X!r} -> {X!r}")
     for f in cell_src:
         if f not in id2_coeffs:
             raise SchemaError(f"id2Coeffs has no entry for {f!r}")
+    for g, src_g in cell_src.items():
+        for f, tgt_f in cell_tgt.items():
+            if tgt_f == src_g and (g, f) not in compose1:
+                raise SchemaError(f"compose1 has no entry for {(g, f)!r}")
 
 
 def _check_hom2_shapes(hom2_dim, id2_coeffs, compose1, vcomp_const,
@@ -293,7 +318,8 @@ def _two_category_from_body(doc) -> TwoCategory:
                                     _dec_consts)
     except KeyError as e:
         raise SchemaError(f"missing key {e}") from e
-    _check_references(objects, cell_src, cell_tgt, identity_cell, id2_coeffs)
+    _check_references(objects, one_cells, cell_src, cell_tgt, identity_cell,
+                      id2_coeffs, compose1)
     _check_hom2_shapes(hom2_dim, id2_coeffs, compose1, vcomp_const,
                        hcomp_const)
     return TwoCategory(field_, objects, one_cells, cell_src, cell_tgt,

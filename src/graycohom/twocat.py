@@ -10,6 +10,7 @@ with a validator that returns complete witness lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .exactlinalg import Field, SparseMatrix, Vector, solve_in_image
 
@@ -391,97 +392,132 @@ def _kron_table(K, ta, tb, dims_b):
     return dict(sorted(table.items()))
 
 
-def times(A: TwoCategory, B: TwoCategory) -> TwoCategory:
+class ProductCategory(TwoCategory):
     """A x B, where the labels of A are tuples: a product label is an A
     label with the B component appended, and the product 2-cell with
-    factor indices (i_A, i_B) has index i_A * dim_B + i_B."""
-    K = A.field
-    objects = [X + (Y,) for X in A.objects for Y in B.objects]
-    one_cells = {}
-    cell_src = {}
-    cell_tgt = {}
-    for X in objects:
-        for Y in objects:
-            cells = tuple(f + (g,)
-                          for f in A.one_cells.get((X[:-1], Y[:-1]), ())
-                          for g in B.one_cells.get((X[-1], Y[-1]), ()))
-            one_cells[(X, Y)] = cells
+    factor indices (i_A, i_B) has index i_A * dim_B + i_B.
+
+    objects, one_cells, cell_src, cell_tgt and identity_cell are built
+    with the product.  compose1, hom2_dim, id2_coeffs, vcomp_const and
+    hcomp_const are each built whole from the two factors the first time
+    they are read, so a caller that needs only the 1-cells of a large
+    power never pays for its composition tables."""
+
+    def __init__(self, A: TwoCategory, B: TwoCategory):
+        self.field = A.field
+        self.factors = (A, B)
+        self.objects = tuple(X + (Y,) for X in A.objects for Y in B.objects)
+        self.one_cells = {}
+        self.cell_src = {}
+        self.cell_tgt = {}
+        for X in self.objects:
+            for Y in self.objects:
+                cells = tuple(f + (g,)
+                              for f in A.one_cells.get((X[:-1], Y[:-1]), ())
+                              for g in B.one_cells.get((X[-1], Y[-1]), ()))
+                self.one_cells[(X, Y)] = cells
+                for f in cells:
+                    self.cell_src[f] = X
+                    self.cell_tgt[f] = Y
+        self.identity_cell = {
+            X: A.identity_cell[X[:-1]] + (B.identity_cell[X[-1]],)
+            for X in self.objects}
+        self._id2_cache = {}
+        self._parallel_cache = {}
+
+    @cached_property
+    def compose1(self):
+        A, B = self.factors
+        compose1 = {}
+        for (Y, Z), gs in self.one_cells.items():
+            if not gs:
+                continue
+            for X in self.objects:
+                fs = self.one_cells[(X, Y)]
+                for g in gs:
+                    for f in fs:
+                        compose1[(g, f)] = (A.compose1[(g[:-1], f[:-1])]
+                                            + (B.compose1[(g[-1], f[-1])],))
+        return compose1
+
+    @cached_property
+    def hom2_dim(self):
+        A, B = self.factors
+        hom2_dim = {}
+        for cells in self.one_cells.values():
             for f in cells:
-                cell_src[f] = X
-                cell_tgt[f] = Y
-    identity_cell = {X: A.identity_cell[X[:-1]] + (B.identity_cell[X[-1]],)
-                     for X in objects}
-    compose1 = {}
-    for (Y, Z), gs in one_cells.items():
-        if not gs:
-            continue
-        for X in objects:
-            fs = one_cells[(X, Y)]
-            for g in gs:
-                for f in fs:
-                    compose1[(g, f)] = (A.compose1[(g[:-1], f[:-1])]
-                                        + (B.compose1[(g[-1], f[-1])],))
+                for f2 in cells:
+                    d = A.dim2(f[:-1], f2[:-1]) * B.dim2(f[-1], f2[-1])
+                    if d:
+                        hom2_dim[(f, f2)] = d
+        return hom2_dim
 
-    hom2_dim = {}
-    for cells in one_cells.values():
-        for f in cells:
-            for f2 in cells:
-                d = A.dim2(f[:-1], f2[:-1]) * B.dim2(f[-1], f2[-1])
-                if d:
-                    hom2_dim[(f, f2)] = d
+    @cached_property
+    def id2_coeffs(self):
+        A, B = self.factors
+        K = self.field
 
-    def sparse(coeffs):
-        return {k: v for k, v in enumerate(coeffs) if not K.is_zero(v)}
+        def sparse(coeffs):
+            return {k: v for k, v in enumerate(coeffs) if not K.is_zero(v)}
 
-    id2_coeffs = {}
-    for f in cell_src:
-        a, b = f[:-1], f[-1]
-        vec = _kron(K, sparse(A.id2_coeffs[a]), sparse(B.id2_coeffs[b]),
-                    B.dim2(b, b))
-        id2_coeffs[f] = tuple(vec.get(k, K.zero())
-                              for k in range(hom2_dim.get((f, f), 0)))
+        id2_coeffs = {}
+        for f in self.cell_src:
+            a, b = f[:-1], f[-1]
+            vec = _kron(K, sparse(A.id2_coeffs[a]), sparse(B.id2_coeffs[b]),
+                        B.dim2(b, b))
+            id2_coeffs[f] = tuple(vec.get(k, K.zero())
+                                  for k in range(self.dim2(f, f)))
+        return id2_coeffs
 
-    parallels = {}
-    for (f, f2) in hom2_dim:
-        parallels.setdefault(f, []).append(f2)
+    @cached_property
+    def vcomp_const(self):
+        A, B = self.factors
+        vcomp_const = {}
+        for f in self.cell_src:
+            for f1 in self.parallel_targets(f):
+                for f2 in self.parallel_targets(f1):
+                    ta = A.vcomp_const.get((f[:-1], f1[:-1], f2[:-1]))
+                    tb = B.vcomp_const.get((f[-1], f1[-1], f2[-1]))
+                    if ta and tb:
+                        table = _kron_table(self.field, ta, tb, (
+                            B.dim2(f1[-1], f2[-1]), B.dim2(f[-1], f1[-1]),
+                            B.dim2(f[-1], f2[-1])))
+                        if table:
+                            vcomp_const[(f, f1, f2)] = table
+        return vcomp_const
 
-    vcomp_const = {}
-    for f in cell_src:
-        for f1 in parallels.get(f, ()):
-            for f2 in parallels.get(f1, ()):
-                ta = A.vcomp_const.get((f[:-1], f1[:-1], f2[:-1]))
-                tb = B.vcomp_const.get((f[-1], f1[-1], f2[-1]))
-                if ta and tb:
-                    table = _kron_table(K, ta, tb, (
-                        B.dim2(f1[-1], f2[-1]), B.dim2(f[-1], f1[-1]),
-                        B.dim2(f[-1], f2[-1])))
-                    if table:
-                        vcomp_const[(f, f1, f2)] = table
+    @cached_property
+    def hcomp_const(self):
+        A, B = self.factors
+        compose1 = self.compose1
+        hcomp_const = {}
+        for (g, f), gf in compose1.items():
+            for g2 in self.parallel_targets(g):
+                for f2 in self.parallel_targets(f):
+                    ta = A.hcomp_const.get((g[:-1], g2[:-1], f[:-1], f2[:-1]))
+                    tb = B.hcomp_const.get((g[-1], g2[-1], f[-1], f2[-1]))
+                    if ta and tb:
+                        g2f2 = compose1[(g2, f2)]
+                        table = _kron_table(self.field, ta, tb, (
+                            B.dim2(g[-1], g2[-1]), B.dim2(f[-1], f2[-1]),
+                            B.dim2(gf[-1], g2f2[-1])))
+                        if table:
+                            hcomp_const[(g, g2, f, f2)] = table
+        return hcomp_const
 
-    hcomp_const = {}
-    for (g, f), gf in compose1.items():
-        for g2 in parallels.get(g, ()):
-            for f2 in parallels.get(f, ()):
-                ta = A.hcomp_const.get((g[:-1], g2[:-1], f[:-1], f2[:-1]))
-                tb = B.hcomp_const.get((g[-1], g2[-1], f[-1], f2[-1]))
-                if ta and tb:
-                    g2f2 = compose1[(g2, f2)]
-                    table = _kron_table(K, ta, tb, (
-                        B.dim2(g[-1], g2[-1]), B.dim2(f[-1], f2[-1]),
-                        B.dim2(gf[-1], g2f2[-1])))
-                    if table:
-                        hcomp_const[(g, g2, f, f2)] = table
 
-    return TwoCategory(K, objects, one_cells, cell_src, cell_tgt,
-                       identity_cell, compose1, hom2_dim, id2_coeffs,
-                       vcomp_const, hcomp_const)
+def times(A: TwoCategory, B: TwoCategory) -> TwoCategory:
+    """A x B as a ProductCategory: its composition tables are built on
+    first read."""
+    return ProductCategory(A, B)
 
 
 def product_many(cats: list[TwoCategory]) -> TwoCategory:
     """Cartesian product; objects and 1-cells are tuples, 2-cell spaces are
     tensor products of the component spaces.  It is built one factor at a
     time from the one-cell 2-category, so the first factor is the most
-    significant in a product 2-cell index."""
+    significant in a product 2-cell index.  Each step is a ProductCategory,
+    whose composition and 2-cell tables are built on first read."""
     if not cats:
         raise ValueError("empty product")
     K = cats[0].field
@@ -508,6 +544,9 @@ class Pseudofunctor:
     two_map  -- (f, f2) -> list over basis idx of {out_idx: scalar}
     fhat     -- (g, f) -> TwoMorphism F(g) o F(f) => F(g o f), invertible
     f0       -- X -> TwoMorphism F(id_X) => id_{F(X)}, invertible
+
+    Here every table is given to the constructor.  gray.TensorPower, the
+    iterated tensor, builds two_map and fhat on first read instead.
     """
 
     def __init__(self, dom: TwoCategory, cod: TwoCategory,

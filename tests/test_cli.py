@@ -97,6 +97,25 @@ def test_validate_malformed_input_exits_2():
     del refs[4]["tensorator"][0]
     del refs[5]["base"]["id2Coeffs"][0]
     bads += refs
+    # a 1-cell with only one endpoint, listed in oneCells under the wrong
+    # objects or not at all, an identity 1-cell for an unknown object,
+    # and a composable pair with no composite
+    one_sided = [export() for _ in range(2)]
+    one_sided[0]["base"]["cellTgt"][0][0] = ["t", ["i", 0], ["i", 7]]
+    one_sided[1]["base"]["cellSrc"][0][0] = ["t", ["i", 0], ["i", 7]]
+    listed = [export() for _ in range(3)]
+    listed[0]["base"]["oneCells"][0][0][0] = ["i", 1]
+    listed[1]["base"]["oneCells"][0][1][0] = ["t", ["i", 0], ["i", 1]]
+    del listed[2]["base"]["oneCells"][0][1][0]
+    unknown_identity = export()
+    unknown_identity["base"]["identityCell"][0][0] = ["i", 1]
+    bads += one_sided + listed + [unknown_identity]
+    for model in ("z2-fiber", "z2-sign"):
+        n = len(cli.run_export(model, "p=3")[1]["base"]["compose1"])
+        for i in range(n):
+            doc = cli.run_export(model, "p=3")[1]
+            del doc["base"]["compose1"][i]
+            bads.append(doc)
     for bad in bads:
         text = sc.dumps(bad)
         code, out = cli.run_validate(text)
@@ -243,6 +262,10 @@ def test_commands_free_their_structure(fiber2_text):
                 code, _doc = run(fiber2_text, *args)
                 assert code == cli.EXIT_OK
                 assert alive() == before, (run.__name__, mode)
+        for code, _doc in (cli.run_validate(fiber2_text),
+                           cli.run_export("z2-fiber", "p=2")):
+            assert code == cli.EXIT_OK
+            assert alive() == before
     finally:
         gc.enable()
 
@@ -301,3 +324,17 @@ def test_scaled_tensorator_entry_exits_1(sign3_text):
         names = {name for name, _ in out["violations"]}
         hexagonal += "hexagonal-axiom" in names
     assert hexagonal == 16
+
+
+def test_vertical_unit_that_is_not_a_unit_exits_1():
+    """A vcompConst entry that makes the identity 2-cell of a 1-cell act
+    as 2 sets the two recursions of the two-variable tensor apart.  That
+    is the violation tensor-power-recursions, exit 1, not a raise."""
+    bad = cli.run_export("z2-fiber", "p=3")[1]
+    bad["base"]["vcompConst"][0][1][0][1][0][1] = 2
+    text = sc.dumps(bad)
+    for code, out in (cli.run_validate(text),
+                      cli.run_cohomology(text, "unit", None, None)):
+        assert code == cli.EXIT_VALIDATION
+        assert [name for name, _ in out["violations"]] == [
+            "tensor-power-recursions"]

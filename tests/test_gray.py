@@ -6,7 +6,8 @@ import random
 import pytest
 
 from conftest import make_model
-from graycohom import gray
+from graycohom import cli, gray, schema as sc
+from graycohom.defcomplex import ComplexSelection, cohomology
 from graycohom.exactlinalg import GF, QQ
 from graycohom.examples import cyclic_group, sign_bicharacter
 from graycohom.gray import (
@@ -130,6 +131,66 @@ def test_validator_names_disagreeing_tensor_recursions(g_sign3,
     monkeypatch.setattr(gray, "tensor_power", disagreeing)
     rep = validate_gray(g_sign3)
     assert rep.violations == [("tensor-power-recursions", ("g", "f"))]
+
+
+def test_validator_builds_the_n3_fhat(monkeypatch):
+    """validate_gray reads fhat of the n = 3 tensor power, so a
+    disagreement found while that table is built is exit 1 with the
+    violation tensor-power-recursions.  Doubling tensor2_many changes
+    only the left-nested recursion of n >= 3."""
+    text = sc.dumps(cli.run_export("z2-sign", "p=3")[1])
+    real = GraySemigroup.tensor2_many
+
+    def doubled(self, terms):
+        return self.base.scale2(2, real(self, terms))
+
+    monkeypatch.setattr(GraySemigroup, "tensor2_many", doubled)
+    code, doc = cli.run_validate(text)
+    assert code == cli.EXIT_VALIDATION
+    assert doc["violations"]
+    assert {name for name, _ in doc["violations"]} == {
+        "tensor-power-recursions"}
+
+
+_DOM_TABLES = ("compose1", "hom2_dim", "id2_coeffs", "vcomp_const",
+               "hcomp_const")
+_PF_TABLES = ("obj_map", "cell_map", "two_map", "fhat", "f0")
+
+
+def test_tensor_power_tables_wait_for_their_first_read():
+    """cohomology of the unit selection, degrees 1-3, on z2-sign/F_3
+    reads only the 1-cells of C^5 and their images, and no 2-cell
+    composition of C^4.  The tables it never reads stay unbuilt, and once
+    read they equal those of a fresh structure whose tables were all read
+    first, in order and type."""
+    G = make_model(cyclic_group(2), cyclic_group(2), sign_bicharacter, GF(3))
+    sel = ComplexSelection("unit")
+    for q in (1, 2, 3):
+        cohomology(G, sel, q)
+    F5, F4 = tensor_power(G, 5), tensor_power(G, 4)
+    unread = [(F5, ("fhat", "two_map")),
+              (F5.dom, _DOM_TABLES),
+              (F4.dom, ("hcomp_const", "vcomp_const"))]
+    for obj, names in unread:
+        for name in names:
+            assert name not in vars(obj), name
+
+    fresh = make_model(cyclic_group(2), cyclic_group(2), sign_bicharacter,
+                       GF(3))
+    for n in range(1, 6):
+        F = tensor_power(fresh, n)
+        for name in _DOM_TABLES:
+            getattr(F.dom, name)
+        for name in _PF_TABLES:
+            getattr(F, name)
+    for n in range(1, 6):
+        lazy, eager = tensor_power(G, n), tensor_power(fresh, n)
+        for name in _DOM_TABLES:
+            assert (repr(list(getattr(lazy.dom, name).items()))
+                    == repr(list(getattr(eager.dom, name).items()))), name
+        for name in _PF_TABLES:
+            assert (repr(list(getattr(lazy, name).items()))
+                    == repr(list(getattr(eager, name).items()))), name
 
 
 def _random_letters(rng, dom, k):

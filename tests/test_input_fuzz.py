@@ -1,0 +1,62 @@
+"""Single-leaf mutations of an exported document never make a command
+raise: each one is parsed, refused or validated and ends with an exit
+code.
+
+A leaf is a scalar of the JSON tree (or an empty list or object).  A
+mutation deletes it, replaces it by one of REPLACEMENTS, or duplicates
+it: next to itself in a list, or as a two-element list in an object.
+"""
+
+import copy
+from datetime import timedelta
+
+from hypothesis import given, settings, strategies as st
+
+from graycohom import cli, schema as sc
+
+REPLACEMENTS = (0, 1, 2, 3, -1, 7, "i", "t", "x", None, 0.5, True, [], {})
+EXIT_CODES = {cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_PARSE, cli.EXIT_CAP}
+
+
+def leaf_paths(x, path=()):
+    """The key/index path of every leaf of x, in document order."""
+    if not x or not isinstance(x, (dict, list)):
+        yield path
+        return
+    for k, v in (x.items() if isinstance(x, dict) else enumerate(x)):
+        yield from leaf_paths(v, path + (k,))
+
+
+def mutate(doc, path, op, value=None):
+    """A copy of doc with the leaf at path deleted, replaced by value or
+    duplicated."""
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    parent = doc
+    for k in head:
+        parent = parent[k]
+    if op == "delete":
+        del parent[last]
+    elif op == "replace":
+        parent[last] = value
+    elif isinstance(parent, list):
+        parent.insert(last, parent[last])
+    else:
+        parent[last] = [parent[last], parent[last]]
+    return doc
+
+
+DOC = cli.run_export("z2-fiber", "p=3")[1]
+PATHS = list(leaf_paths(DOC))
+
+
+@settings(derandomize=True, max_examples=800, deadline=timedelta(seconds=5))
+@given(leaf=st.integers(0, len(PATHS) - 1),
+       op=st.sampled_from(("delete", "replace", "duplicate")),
+       value=st.sampled_from(REPLACEMENTS))
+def test_single_leaf_mutation_ends_with_an_exit_code(leaf, op, value):
+    text = sc.dumps(mutate(DOC, PATHS[leaf], op, value))
+    code, doc = cli.run_validate(text)
+    assert code in EXIT_CODES and isinstance(doc, dict)
+    code, doc = cli.run_cohomology(text, "unit", None, None)
+    assert code in EXIT_CODES and isinstance(doc, dict)
