@@ -19,7 +19,8 @@ computes their cohomology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 from .exactlinalg import SparseMatrix, Vector, kernel_basis, vstack
@@ -33,6 +34,7 @@ from .pfcomplex import (
     Assembler,
     CapExceeded,
     CochainSpace,
+    Layout,
     _cohomology_core,
     delta_pf_matrix,
     fiber_value,
@@ -61,26 +63,19 @@ class BicomplexSpace:
     m: int
     n: int
     pf: CochainSpace          # free coordinates and naturality constraints
-    _constraints: SparseMatrix | None = None
-    _basis: list | None = None
 
-    @property
+    @cached_property
     def constraints(self) -> SparseMatrix:
         """Naturality and identity-slot vanishing; computed on first use."""
-        if self._constraints is None:
-            K = self.G.base.field
-            coords = identity_slot_coordinates(self.G, self.pf)
-            extra = SparseMatrix(
-                len(coords), self.pf.dim_free, K,
-                {(i, c): K.one() for i, c in enumerate(coords)})
-            self._constraints = vstack(self.pf.constraints, extra)
-        return self._constraints
+        K = self.G.base.field
+        coords = identity_slot_coordinates(self.G, self.pf)
+        extra = SparseMatrix(len(coords), self.pf.dim_free, K,
+                             {(i, c): K.one() for i, c in enumerate(coords)})
+        return vstack(self.pf.constraints, extra)
 
-    @property
+    @cached_property
     def basis(self) -> list:
-        if self._basis is None:
-            self._basis = kernel_basis(self.constraints)
-        return self._basis
+        return kernel_basis(self.constraints)
 
     @property
     def dim_free(self):
@@ -95,11 +90,10 @@ def identity_slot_coordinates(G: GraySemigroup, pf: CochainSpace):
     """Free coordinates sitting on tuples with an all-identities letter."""
     C = G.base
     out = []
-    for t, b in pf.index:
-        for letter in t:
-            if all(f == C.identity_cell[C.cell_src[f]] for f in letter):
-                out.append(pf.pos[(t, b)])
-                break
+    for t, (first, d, _, _) in pf.slots.items():
+        if any(all(f == C.identity_cell[C.cell_src[f]] for f in letter)
+               for letter in t):
+            out.extend(range(first, first + d))
     return out
 
 
@@ -236,22 +230,15 @@ def delta_v_matrix(G: GraySemigroup, m: int, n: int) -> SparseMatrix:
 
 
 @dataclass
-class PentSpace:
+class PentSpace(Layout):
     """Families of endomorphisms of identity 1-cells over object tuples.
     Every family is a cochain: there are no constraint rows."""
 
     G: GraySemigroup
     degree: int
     tuples: list
-    index: list = field(default_factory=list)
-    pos: dict = field(default_factory=dict)
-    slots: dict = field(default_factory=dict)   # as CochainSpace.slots
     constraints: SparseMatrix | None = None
     basis: list | None = None
-
-    @property
-    def dim_free(self):
-        return len(self.index)
 
 
 def _object_tuples(G: GraySemigroup, k: int):
@@ -397,35 +384,27 @@ class TotalSpace:
     summands: list
     offsets: list
     dim_free: int
-    _constraints: SparseMatrix | None = None
-    _basis: list | None = None
 
-    @property
+    @cached_property
     def constraints(self) -> SparseMatrix:
         """Block-diagonal stack of the summands' constraint matrices."""
-        if self._constraints is None:
-            entries = {}
-            row = 0
-            for desc, off in zip(self.summands, self.offsets):
-                cons = _summand_constraints(self.G, self.kind, desc)
-                entries.update({(row + i, off + j): v
-                                for (i, j), v in cons.entries.items()})
-                row += cons.rows
-            self._constraints = SparseMatrix(row, self.dim_free,
-                                             self.G.base.field, entries)
-        return self._constraints
+        entries = {}
+        row = 0
+        for desc, off in zip(self.summands, self.offsets):
+            cons = _summand_constraints(self.G, self.kind, desc)
+            entries.update({(row + i, off + j): v
+                            for (i, j), v in cons.entries.items()})
+            row += cons.rows
+        return SparseMatrix(row, self.dim_free, self.G.base.field, entries)
 
-    @property
+    @cached_property
     def basis(self) -> list:
         # the constraints are block-diagonal, so the kernel is the direct
         # sum of the per-summand kernels embedded at their offsets
-        if self._basis is None:
-            self._basis = [
-                Vector(self.dim_free, {off + i: v
+        return [Vector(self.dim_free, {off + i: v
                                        for i, v in b.entries.items()})
                 for desc, off in zip(self.summands, self.offsets)
                 for b in _summand_kernel(self.G, self.kind, desc)]
-        return self._basis
 
     @property
     def dimension(self):

@@ -36,6 +36,7 @@ from .exactlinalg import (
     vec_combine,
 )
 from .gray import GraySemigroup, per_structure
+from .pfcomplex import nonidentity_basis
 from .twocat import TwoMorphism, ValidationReport
 
 DEFAULT_ENUM_BOUND = 2 ** 20
@@ -350,18 +351,6 @@ def witness_shapes(G: GraySemigroup, w: EquivalenceWitness) -> ValidationReport:
 # ----- the eight structural equations -----------------------------------
 
 
-def _nonidentity_basis(C, f):
-    """(tau, target) pairs over all non-identity basis 2-cells out of f."""
-    out = []
-    for f2 in C.parallel_targets(f):
-        for i in range(C.dim2(f, f2)):
-            tau = C.basis2(f, f2, i)
-            if f2 == f and C.eq2(tau, C.id2(f)):
-                continue
-            out.append((tau, f2))
-    return out
-
-
 # The two paddings below are module functions, not methods: an instance
 # closure that held the system would make a reference cycle through G, and
 # G would then outlive its command until a full garbage collection.
@@ -433,7 +422,7 @@ class _StructuralSystem:
             f, g = p
             slots = (fp, gp, f, g)
             for s in range(4):
-                for tau, _tgt in _nonidentity_basis(C, slots[s]):
+                for tau, _tgt in nonidentity_basis(C, slots[s]):
                     ts = [C.id2(c) for c in slots]
                     ts[s] = tau
                     pp_t = (ts[0].tgt, ts[1].tgt)
@@ -494,7 +483,7 @@ class _StructuralSystem:
         # naturality of the associator in each 2-cell slot
         for (f, g, h) in itertools.product(cells, repeat=3):
             for s in range(3):
-                for tau, _tgt in _nonidentity_basis(C, (f, g, h)[s]):
+                for tau, _tgt in nonidentity_basis(C, (f, g, h)[s]):
                     ts = [C.id2(c) for c in (f, g, h)]
                     ts[s] = tau
                     tilde = (ts[0].tgt, ts[1].tgt, ts[2].tgt)
@@ -784,7 +773,7 @@ class _EquivalenceSystem:
         for f in cells:
             for g in cells:
                 for s in range(2):
-                    for tau, _t in _nonidentity_basis(C, (f, g)[s]):
+                    for tau, _t in nonidentity_basis(C, (f, g)[s]):
                         ts = [C.id2(f), C.id2(g)]
                         ts[s] = tau
                         ft, gt = ts[0].tgt, ts[1].tgt

@@ -330,6 +330,11 @@ def validate_gray(G: GraySemigroup) -> ValidationReport:
                                             rep.add("tensor2-associativity",
                                                     (a, b, c))
 
+    # the tensorator's endpoints are composites of tensored 1-cells, which
+    # exist only once the checks above hold
+    if rep.violations:
+        return rep
+
     # cubical vanishing: the tensorator is an identity whenever the second
     # factor of the left pair or the first factor of the right pair is an
     # identity 1-cell

@@ -6,11 +6,15 @@ every argument.  The differential inserts an identity factor on the left
 and on the right and merges each adjacent pair, with canonical paddings
 supplied by gray.pad.  Cohomology in degree 2 classifies first-order
 unitary deformations of the coherence data of F.
+
+place lays out every cochain space of the package, in its slots table,
+and the Assembler builds every naturality system and differential.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .exactlinalg import (
     Echelon,
@@ -48,63 +52,58 @@ def composable_tuples(C, n):
 
 
 @dataclass
-class CochainSpace:
+class Layout:
+    """The coordinate layout of a cochain space, filled by place.  slots,
+    the one layout table, maps each tuple, in coordinate order, to (first
+    coordinate, fiber dimension, src, tgt)."""
+
+    slots: dict = field(default_factory=dict, kw_only=True)
+    dim_free: int = field(default=0, kw_only=True)
+
+    @cached_property
+    def pos(self) -> dict:
+        """(tuple, basis index) -> coordinate, derived on first read."""
+        return {(t, b): first + b
+                for t, (first, d, _, _) in self.slots.items()
+                for b in range(d)}
+
+
+@dataclass
+class CochainSpace(Layout):
     """Free coordinates over (tuple, basis index) pairs together with the
-    naturality constraint matrix cutting out the cochain space."""
+    naturality constraint matrix cutting out the cochain space.  In slots,
+    src is F(f_0) o ... o F(f_k) and tgt is F(f_0 o ... o f_k)."""
 
     F: Pseudofunctor
     degree: int
     tuples: list
-    index: list = field(default_factory=list)   # [(tuple, basis_idx)]
-    pos: dict = field(default_factory=dict)     # (tuple, basis_idx) -> coord
-    # tuple -> (first coordinate, fiber dimension, src, tgt), where src is
-    # F(f_0) o ... o F(f_k) and tgt is F(f_0 o ... o f_k); filled by place
-    slots: dict = field(default_factory=dict)
-    _constraints: SparseMatrix | None = None
-    _basis: list | None = None
-
-    @property
-    def dim_free(self):
-        return len(self.index)
 
     @property
     def dimension(self):
         return len(self.basis)
 
-    @property
+    @cached_property
     def constraints(self) -> SparseMatrix:
         """Per-slot naturality system; computed on first use."""
-        if self._constraints is None:
-            rows = _naturality_rows(self)
-            M = SparseMatrix(len(rows), self.dim_free, self.F.cod.field)
-            for i, r in enumerate(rows):
-                for j, v in r.items():
-                    M.set(i, j, v)
-            self._constraints = M
-        return self._constraints
+        return naturality_matrix(self)
 
-    @property
+    @cached_property
     def basis(self) -> list:
         """Kernel basis of the naturality system; computed on first use."""
-        if self._basis is None:
-            self._basis = kernel_basis(self.constraints)
-        return self._basis
+        return kernel_basis(self.constraints)
 
     def value(self, vec: Vector, t) -> TwoMorphism:
         """The 2-morphism a coordinate vector assigns to tuple t."""
         return fiber_value(self.F.cod.field, self.slots[t], vec)
 
 
-def place(space, t, src, tgt, d: int):
+def place(space: Layout, t, src, tgt, d: int):
     """Give tuple t the next d coordinates of space, for its fiber
     Hom2(src, tgt) of dimension d.  This is the one coordinate layout of
     every cochain space: the fiber of a tuple is one run of consecutive
-    coordinates, recorded in space.slots, space.pos and space.index."""
-    first = len(space.index)
-    space.slots[t] = (first, d, src, tgt)
-    for b in range(d):
-        space.pos[(t, b)] = first + b
-        space.index.append((t, b))
+    coordinates, recorded in space.slots."""
+    space.slots[t] = (space.dim_free, d, src, tgt)
+    space.dim_free += d
 
 
 def fiber_value(K, slot, vec: Vector, offset: int = 0) -> TwoMorphism:
@@ -117,53 +116,62 @@ def fiber_value(K, slot, vec: Vector, offset: int = 0) -> TwoMorphism:
                        tuple([get(i, zero) for i in range(start, start + d)]))
 
 
-def _naturality_rows(space: CochainSpace):
-    """Per-slot naturality conditions as a list of sparse row dicts."""
+def nonidentity_basis(C, f):
+    """(tau, target) pairs over all non-identity basis 2-cells out of f."""
+    return [(tau, f2) for f2 in C.parallel_targets(f)
+            for tau in (C.basis2(f, f2, i) for i in range(C.dim2(f, f2)))
+            if f2 != f or not C.eq2(tau, C.id2(f))]
+
+
+def naturality_matrix(space: CochainSpace) -> SparseMatrix:
+    """The naturality system of space, built by an Assembler.
+
+    For a tuple t, a slot j and a non-identity basis 2-cell tau: f_j => f'
+    it reads F(1_L o tau o 1_R) . x(t) = x(t2) . (1_FL o F(tau) o 1_FR):
+    L and R compose the letters left and right of slot j, FL and FR their
+    F-images, and t2 is t with f' in slot j.  Each condition owns one
+    block of rows, Hom2(src(t), tgt(t2)), and adds the key ("dom", tau,
+    L, R, src(t), tgt(t)) at the fiber of t and ("cod", tau, FL, FR,
+    src(t2), tgt(t2)) at the fiber of t2.  tau is named by (f_j, its place
+    in nonidentity_basis), and L, R, FL and FR are tuples of at most one
+    1-cell.  Rows left with no entry are renumbered away."""
     F = space.F
     C, D = F.dom, F.cod
-    K = D.field
-    rows = []
-    for t in space.tuples:
-        _, d_t, src_t, tgt_t = space.slots[t]
-        for j, fj in enumerate(t):
-            for fj2 in C.parallel_targets(fj):
-                for a in range(C.dim2(fj, fj2)):
-                    tau = C.basis2(fj, fj2, a)
-                    if fj2 == fj and C.eq2(tau, C.id2(fj)):
-                        continue
-                    t2 = t[:j] + (fj2,) + t[j + 1:]
-                    w_dom = C.hcomp_many(
-                        [C.id2(f) if i != j else tau for i, f in enumerate(t)])
-                    w_cod = D.hcomp_many(
-                        [D.id2(F.cell_map[f]) if i != j else F.map2(tau)
-                         for i, f in enumerate(t)])
-                    Fw = F.map2(w_dom)
-                    out_dim = D.dim2(src_t, Fw.tgt)
-                    new_rows = [dict() for _ in range(out_dim)]
-                    for b in range(d_t):
-                        e = TwoMorphism(src_t, tgt_t, tuple(
-                            K.one() if i == b else K.zero()
-                            for i in range(d_t)))
-                        lhs = D.vcomp(Fw, e)
-                        col = space.pos[(t, b)]
-                        for k, v in enumerate(lhs.coeffs):
-                            if not K.is_zero(v):
-                                new_rows[k][col] = K.add(
-                                    new_rows[k].get(col, K.zero()), v)
-                    _, d2, src2, tgt2 = space.slots[t2]
-                    for b in range(d2):
-                        e2 = TwoMorphism(src2, tgt2, tuple(
-                            K.one() if i == b else K.zero()
-                            for i in range(d2)))
-                        rhs = D.vcomp(e2, w_cod)
-                        col = space.pos[(t2, b)]
-                        for k, v in enumerate(rhs.coeffs):
-                            if not K.is_zero(v):
-                                new_rows[k][col] = K.sub(
-                                    new_rows[k].get(col, K.zero()), v)
-                    rows.extend(r for r in new_rows
-                                if any(not K.is_zero(v) for v in r.values()))
-    return rows
+    taus = {f: nonidentity_basis(C, f) for f in C.cell_src}
+
+    def make(key):
+        side, (f, i), left, right, src, tgt = key
+        tau = taus[f][i][0]
+        if side == "dom":
+            w = F.map2(C.hcomp_many([*map(C.id2, left), tau,
+                                     *map(C.id2, right)]))
+            return term_operator(D, src, tgt, 1, lambda x: D.vcomp(w, x))
+        w = D.hcomp_many([*map(D.id2, left), F.map2(tau),
+                          *map(D.id2, right)])
+        return term_operator(D, src, tgt, -1, lambda x: D.vcomp(x, w))
+
+    def side(A, letters):
+        return (A.compose_many(letters),) if letters else ()
+
+    asm = Assembler(0, space.dim_free, D.field, make)
+    row0 = 0
+    for t, (first, _, src, tgt) in space.slots.items():
+        for j, f in enumerate(t):
+            if not taus[f]:
+                continue
+            images = [F.cell_map[g] for g in t]
+            dom = (side(C, t[:j]), side(C, t[j + 1:]), src, tgt)
+            cod = (side(D, images[:j]), side(D, images[j + 1:]))
+            for i, (_, f2) in enumerate(taus[f]):
+                first2, _, src2, tgt2 = space.slots[t[:j] + (f2,) + t[j + 1:]]
+                asm.add(("dom", (f, i)) + dom, row0, first)
+                asm.add(("cod", (f, i)) + cod + (src2, tgt2), row0, first2)
+                row0 += D.dim2(src, tgt2)
+    M = asm.matrix()
+    kept = {i: r for r, i in enumerate(sorted({i for i, _ in M.entries}))}
+    M.rows = len(kept)
+    M.entries = {(kept[i], j): v for (i, j), v in M.entries.items()}
+    return M
 
 
 def _composites(F: Pseudofunctor, t, suffixes: dict):
@@ -227,19 +235,22 @@ def term_operator(D, src, tgt, sign, post):
 
 
 class Assembler:
-    """A differential matrix, assembled as a sum of terms.
+    """A matrix, assembled as a sum of terms.
 
     Every differential here is an alternating sum of whiskered terms
     x -> sign * post(x), each from the fiber of an input tuple to the
-    fiber of an output tuple.  A builder enumerates the terms and adds
-    each one by a key at (row0, col0), the first coordinates of the two
-    fibers.  The key determines the term's operator: its sign, its post
-    and its fiber Hom2(src, tgt), but not the tuples it sits at.  So the
-    operator of a key is computed once, by make(key) (usually through
-    term_operator), and reused by every term with that key.  make must be
-    a function of the key alone.  A builder that puts a 2-cell into its
-    keys puts in a number given to each distinct value (src, tgt,
-    coefficients), so equal keys give equal operators; delta_pf_matrix
+    fiber of an output tuple, and so is every naturality condition (see
+    naturality_matrix), whose rows are one block per condition.  A
+    builder enumerates the terms and adds each one by a key at (row0,
+    col0): the first row of its output fiber or block and the first
+    coordinate of its input fiber.  The key determines the term's
+    operator: its sign, its post and its fiber Hom2(src, tgt), but not
+    the tuples it sits at.  So the operator of a key is computed once, by
+    make(key) (usually through term_operator), and reused by every term
+    with that key.  make must be a function of the key alone.  A builder
+    that puts a 2-cell into its keys puts in a number or name given to
+    each distinct value (src, tgt, coefficients), so equal keys give
+    equal operators; delta_pf_matrix
     and delta_v_matrix number their tuples' 1-cells too, so the per-term
     lookups hash tuples of small ints.  total_differential adds whole
     blocks, one term per block.
@@ -366,12 +377,12 @@ def delta_pf_padded(F: Pseudofunctor, space_n: CochainSpace,
     M = SparseMatrix(space_n1.dim_free, space_n.dim_free, K)
     if space_n.degree < 1:
         return M
-    for t in space_n1.tuples:
+    for t, (row0, _, _, _) in space_n1.slots.items():
         for sign, t_in, src_blocks, tgt_blocks, whisker in _delta_terms(C, t):
             slot = space_n.slots.get(t_in)
             if slot is None or not slot[1]:
                 continue
-            _, d, src, tgt = slot
+            col0, d, src, tgt = slot
             s = K.one() if sign == 1 else K.from_int(sign)
             for b in range(d):
                 val = TwoMorphism(src, tgt, tuple(
@@ -385,8 +396,7 @@ def delta_pf_padded(F: Pseudofunctor, space_n: CochainSpace,
                 out = pad(F, t, [PaddedStep(tm, src_blocks, tgt_blocks)])
                 for k, v in enumerate(out.coeffs):
                     if not K.is_zero(v):
-                        M.add_to(space_n1.pos[(t, k)],
-                                 space_n.pos[(t_in, b)], K.mul(s, v))
+                        M.add_to(row0 + k, col0 + b, K.mul(s, v))
     return M
 
 
@@ -495,7 +505,8 @@ class PFClassification:
         out = self.delta2.mul_vector(cocycle)
         if not out.is_zero():
             bad_row = min(out.entries)
-            t, _ = self.space3.index[bad_row]
+            t = next(t for t, (first, d, _, _) in self.space3.slots.items()
+                     if bad_row < first + d)
             raise ValueError(f"not a cocycle: hexagon instance {t} violated")
         residue = self.space2.constraints.mul_vector(cocycle)
         if not residue.is_zero():

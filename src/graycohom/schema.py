@@ -43,12 +43,17 @@ def encode_id(x):
     raise SchemaError(f"unsupported identifier {x!r}")
 
 
+def _is_int(x) -> bool:
+    """x is a JSON integer: bool is a subclass of int, but true is not 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def decode_id(j):
     if not isinstance(j, list) or not j or j[0] not in ("i", "s", "t"):
         raise SchemaError(f"malformed identifier {j!r}")
     tag = j[0]
     if tag == "i":
-        if len(j) != 2 or not isinstance(j[1], int):
+        if len(j) != 2 or not _is_int(j[1]):
             raise SchemaError(f"malformed identifier {j!r}")
         return j[1]
     if tag == "s":
@@ -131,13 +136,13 @@ def _enc_consts(consts: dict):
 def _dec_consts(j):
     def dec_ij(k):
         if not (isinstance(k, list) and len(k) == 2
-                and all(isinstance(x, int) for x in k)):
+                and all(_is_int(x) for x in k)):
             raise SchemaError(f"malformed index pair {k!r}")
         return (k[0], k[1])
 
     def dec_vec(v):
         def dec_k(k):
-            if not isinstance(k, int):
+            if not _is_int(k):
                 raise SchemaError(f"malformed basis index {k!r}")
             return k
         return _decode_pairs(v, dec_k, decode_scalar)
@@ -229,7 +234,8 @@ def _check_references(objects, one_cells, cell_src, cell_tgt,
     """Every endpoint names a declared object, every 1-cell has both
     endpoints and is listed once in oneCells under them, every object has
     an identity 1-cell from itself to itself, every 1-cell has identity
-    coefficients, and every composable pair a composite."""
+    coefficients, and every composable pair a composite, a declared
+    1-cell from the source of its first to the target of its second."""
     objects = set(objects)
     _check_known("cellSrc", cell_src, objects)
     _check_known("cellTgt", cell_tgt, objects)
@@ -260,6 +266,11 @@ def _check_references(objects, one_cells, cell_src, cell_tgt,
         for f, tgt_f in cell_tgt.items():
             if tgt_f == src_g and (g, f) not in compose1:
                 raise SchemaError(f"compose1 has no entry for {(g, f)!r}")
+    for (g, f), gf in compose1.items():
+        ends = (cell_src.get(f), cell_tgt.get(g))
+        if gf not in cell_src or (cell_src[gf], cell_tgt[gf]) != ends:
+            raise SchemaError(f"compose1 of {(g, f)!r} names {gf!r}, which "
+                              f"is not a 1-cell {ends[0]!r} -> {ends[1]!r}")
 
 
 def _check_hom2_shapes(hom2_dim, id2_coeffs, compose1, vcomp_const,
@@ -301,7 +312,7 @@ def _two_category_from_body(doc) -> TwoCategory:
                                  lambda k: _dec_id_tuple(k, 2), decode_id)
 
         def dec_dim(n):
-            if not isinstance(n, int) or n < 0:
+            if not _is_int(n) or n < 0:
                 raise SchemaError(f"malformed dimension {n!r}")
             return n
 

@@ -338,3 +338,28 @@ def test_vertical_unit_that_is_not_a_unit_exits_1():
         assert code == cli.EXIT_VALIDATION
         assert [name for name, _ in out["violations"]] == [
             "tensor-power-recursions"]
+
+
+def test_values_with_wrong_endpoints_end_with_an_exit_code(sign3_text):
+    """A tensor1 value whose endpoints are not the tensors of its pair's
+    endpoints is the violation tensor1-endpoints, exit 1, found before
+    the tensorator table composes with it.  A compose1 value that is not
+    a 1-cell from the source of the pair's first to the target of its
+    second is refused by the schema, exit 2, in a gray_semigroup base and
+    in a two_category document alike."""
+    wrong = ["t", ["i", 1], ["i", 0]]
+    bad = sc.loads(sign3_text)
+    assert bad["tensor1"][0][1] != wrong
+    bad["tensor1"][0][1] = wrong
+    text = sc.dumps(bad)
+    for code, out in (cli.run_validate(text),
+                      cli.run_cohomology(text, "unit", None, None)):
+        assert code == cli.EXIT_VALIDATION
+        assert "tensor1-endpoints" in {name for name, _ in out["violations"]}
+    bad = sc.loads(sign3_text)
+    bad["base"]["compose1"][0][1] = wrong
+    two = sc.two_category_to_json(sc.load_structure(sign3_text).base)
+    two["compose1"][0][1] = wrong
+    for doc in (bad, two):
+        code, out = cli.run_validate(sc.dumps(doc))
+        assert code == cli.EXIT_PARSE and "compose1" in out["error"]

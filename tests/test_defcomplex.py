@@ -1,9 +1,11 @@
 """Total deformation complexes: square-zero laws, commuting squares, the
-special subspace, and Betti numbers cross-checked against an independent
-bar-resolution computation for the pentagonator tower."""
+special subspace, Betti numbers cross-checked against an independent
+bar-resolution computation for the pentagonator tower, the coordinate
+layout, and Model A, whose fibers have dimension 2."""
 
 import pytest
 
+from graycohom import cli, schema as sc
 from graycohom.defcomplex import (
     CapExceeded,
     ComplexSelection,
@@ -21,6 +23,7 @@ from graycohom.defcomplex import (
     total_space,
 )
 from graycohom.exactlinalg import SparseMatrix, from_columns, kernel_basis, rank
+from graycohom.gray import validate_gray
 
 
 @pytest.mark.parametrize("kind", SELECTION_KINDS)
@@ -146,3 +149,34 @@ def test_degree_caps(g_fiber2):
         cohomology(g_fiber2, sel, 4)
     with pytest.raises(ValueError):
         ComplexSelection("nope")
+
+
+def test_pos_is_derived_from_slots(g_sign3, model_a2):
+    """pos, through which representatives are decoded, gives coordinate
+    first + b to basis index b of a tuple whose slot starts at first, for
+    every coordinate of the layout."""
+    for G in (g_sign3, model_a2):
+        spaces = [bicomplex_space(G, m, n).pf
+                  for m, n in ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))]
+        spaces += [pent_space(G, d) for d in range(3)]
+        for sp in spaces:
+            assert len(sp.pos) == sp.dim_free
+            for (t, b), coord in sp.pos.items():
+                assert coord == sp.slots[t][0] + b
+            assert sorted(sp.pos.values()) == list(range(sp.dim_free))
+
+
+def test_model_a_validates_round_trips_and_squares_to_zero(model_a2):
+    G = model_a2
+    assert validate_gray(G).ok
+    text = sc.dumps(sc.gray_to_json(G))
+    assert sc.dumps(sc.gray_to_json(sc.load_structure(text))) == text
+    # assemble_complex checks D_{q+1} D_q = 0 on the constrained bases
+    out = assemble_complex(G, ComplexSelection("unit"))
+    assert set(out["differentials"]) == {1, 2, 3}
+
+
+@pytest.mark.parametrize("mode", ["ass", "tens", "pent"])
+def test_model_a_oracle_agrees(model_a2, mode):
+    code, doc = cli.run_oracle(sc.dumps(sc.gray_to_json(model_a2)), mode)
+    assert code == cli.EXIT_OK and doc["verdict"] == "AGREE"

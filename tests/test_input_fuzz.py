@@ -60,3 +60,21 @@ def test_single_leaf_mutation_ends_with_an_exit_code(leaf, op, value):
     assert code in EXIT_CODES and isinstance(doc, dict)
     code, doc = cli.run_cohomology(text, "unit", None, None)
     assert code in EXIT_CODES and isinstance(doc, dict)
+
+
+def test_true_in_place_of_an_integer_exits_2():
+    """JSON true is not the integer 1, although Python's bool is an int.
+    In place of any integer leaf (an identifier, a Hom2 dimension, a
+    structure-constant index, a coefficient or the field's prime) it is
+    refused with exit 2."""
+    replaced = 0
+    for path in PATHS:
+        leaf = DOC
+        for k in path:
+            leaf = leaf[k]
+        if type(leaf) is int:
+            text = sc.dumps(mutate(DOC, path, "replace", True))
+            code, doc = cli.run_validate(text)
+            assert code == cli.EXIT_PARSE and "error" in doc, path
+            replaced += 1
+    assert replaced

@@ -1,6 +1,7 @@
 """Pseudofunctorial cochain complex: tuple bookkeeping, the two
-differential-assembly paths, the square-zero law, the unitary lemma and
-the degree-2 classification bundle."""
+differential-assembly paths, the square-zero law, the unitary lemma, the
+degree-2 classification bundle, and naturality on Model B checked against
+2 x 2 matrix identities."""
 
 import pytest
 
@@ -28,7 +29,11 @@ from graycohom.pfcomplex import (
     pf_cohomology,
     term_operator,
 )
-from graycohom.twocat import identity_pseudofunctor
+from graycohom.twocat import (
+    identity_pseudofunctor,
+    validate_pseudofunctor,
+    validate_two_category,
+)
 
 
 @pytest.fixture(scope="module")
@@ -191,3 +196,142 @@ def test_classification_bundle(FK):
     for rep in coh["representatives"]:
         fhat1, f01 = cls.deform(rep)   # accepted as a cocycle
         assert cls.equivalent(rep, zero) is None
+
+
+# ----- Model B: naturality against 2 x 2 matrix identities --------------
+#
+# Every fiber of Model B is F_5 (a tuple of identity 1-cells) or the 2 x 2
+# matrices (a tuple with one letter f or g), and whiskering by an identity
+# 1-cell changes no matrix.  So naturality in a tau = E_rc: a => b at slot
+# j reads E_rc X(t) = X(t2) E_rc, and the differential is the bar formula
+# on matrices, a scalar x becoming x times the unit matrix.  The systems
+# below are read off those identities and eliminated densely; they share
+# only the coordinate layout (slots) with the code under test.
+
+P = 5
+
+
+@pytest.fixture(scope="module")
+def FB(model_b):
+    return identity_pseudofunctor(model_b)
+
+
+def _dense_rank(rows):
+    """Rank over F_5 of a list of dense rows, by Gauss-Jordan elimination."""
+    rows = [[x % P for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], P - 2, P)
+        rows[rank] = [x * inv % P for x in rows[rank]]
+        for i, r in enumerate(rows):
+            if i != rank and r[c]:
+                rows[i] = [(x - r[c] * y) % P for x, y in zip(r, rows[rank])]
+        rank += 1
+    return rank
+
+
+def _mat(x, slot):
+    """The 2 x 2 matrix a coordinate dict x puts at a slot."""
+    first, d = slot[:2]
+    if d == 1:
+        return [[x.get(first, 0), 0], [0, x.get(first, 0)]]
+    return [[x.get(first + 2 * r + c, 0) for c in range(2)] for r in range(2)]
+
+
+def _mul(A, B):
+    return [[sum(A[r][s] * B[s][c] for s in range(2)) % P for c in range(2)]
+            for r in range(2)]
+
+
+def _unit(r, c):
+    return [[int((i, j) == (r, c)) for j in range(2)] for i in range(2)]
+
+
+def _columns(fn, dim):
+    """The dense matrix of a linear map given as x -> list of values."""
+    cols = [fn({k: 1}) for k in range(dim)]
+    return [list(row) for row in zip(*cols)] if cols else []
+
+
+def _naturality_system(sp):
+    """Rows E_rc X(t) - X(t2) E_rc = 0 over every tuple, slot and E_rc."""
+    def residuals(x):
+        out = []
+        for t, slot in sp.slots.items():
+            for j, a in enumerate(t):
+                if a not in ("f", "g"):
+                    continue
+                for b in ("f", "g"):
+                    slot2 = sp.slots[t[:j] + (b,) + t[j + 1:]]
+                    for r in range(2):
+                        for c in range(2):
+                            E = _unit(r, c)
+                            lhs = _mul(E, _mat(x, slot))
+                            rhs = _mul(_mat(x, slot2), E)
+                            out += [lhs[i][k] - rhs[i][k]
+                                    for i in range(2) for k in range(2)]
+        return out
+    return _columns(residuals, sp.dim_free)
+
+
+def _differential(C, sp, sp1):
+    """The bar differential from degree n to n + 1 on matrices."""
+    def image(x):
+        out = []
+        for t, slot in sp1.slots.items():
+            n1 = len(t)
+            terms = [(1, t[1:]), ((-1) ** n1, t[:-1])]
+            terms += [((-1) ** i,
+                       t[:i - 1] + (C.compose(t[i - 1], t[i]),) + t[i + 1:])
+                      for i in range(1, n1)]
+            mats = [(sign, _mat(x, sp.slots[u])) for sign, u in terms]
+            total = [[sum(sign * M[r][c] for sign, M in mats)
+                      for c in range(2)] for r in range(2)]
+            out += ([total[0][0]] if slot[1] == 1
+                    else [total[r][c] for r in range(2) for c in range(2)])
+        return out
+    return _columns(image, sp.dim_free)
+
+
+def test_model_b_is_a_valid_two_category_and_pseudofunctor(model_b, FB):
+    assert validate_two_category(model_b).ok
+    assert validate_pseudofunctor(FB).ok
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_model_b_naturality_kernel_matches_matrix_identities(FB, n):
+    sp = pf_cochain_basis(FB, n)
+    system = _naturality_system(sp)
+    assert len(sp.basis) == sp.dim_free - _dense_rank(system)
+    for v in sp.basis:
+        assert all(sum(a * v.entries.get(k, 0) for k, a in enumerate(row))
+                   % P == 0 for row in system)
+
+
+def test_model_b_cohomology_matches_matrix_identities(FB):
+    C = FB.dom
+    sp = {k: pf_cochain_basis(FB, k) for k in range(1, 4)}
+    nat = {k: _naturality_system(sp[k]) for k in sp}
+    for n in (1, 2):
+        delta = _differential(C, sp[n], sp[n + 1])
+        cocycles = sp[n].dim_free - _dense_rank(delta + nat[n])
+        coboundaries = 0
+        if n > 1:
+            prev = _differential(C, sp[n - 1], sp[n])
+            coboundaries = (_dense_rank(nat[n - 1] + prev)
+                            - _dense_rank(nat[n - 1]))
+        assert pf_cohomology(FB, n)["dimension"] == cocycles - coboundaries
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_model_b_differentials_agree_and_square_to_zero(FB, n):
+    sp, sp1, sp2 = (pf_cochain_basis(FB, k) for k in (n, n + 1, n + 2))
+    fast = delta_pf_matrix(FB, sp, sp1)
+    assert fast.entries == delta_pf_padded(FB, sp, sp1).entries
+    prod = delta_pf_matrix(FB, sp1, sp2).mul_matrix(fast)
+    for b in sp.basis:
+        assert prod.mul_vector(b).is_zero()
