@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
 
-from .exactlinalg import SparseMatrix, Vector, kernel_basis, vstack
+from .exactlinalg import SparseMatrix, Vector, from_rows, kernel_basis, vstack
 from .gray import (
     GraySemigroup,
     merge_to_single,
@@ -69,8 +69,7 @@ class BicomplexSpace:
         """Naturality and identity-slot vanishing; computed on first use."""
         K = self.G.base.field
         coords = identity_slot_coordinates(self.G, self.pf)
-        extra = SparseMatrix(len(coords), self.pf.dim_free, K,
-                             {(i, c): K.one() for i, c in enumerate(coords)})
+        extra = from_rows([{c: K.one()} for c in coords], self.pf.dim_free, K)
         return vstack(self.pf.constraints, extra)
 
     @cached_property
@@ -388,14 +387,12 @@ class TotalSpace:
     @cached_property
     def constraints(self) -> SparseMatrix:
         """Block-diagonal stack of the summands' constraint matrices."""
-        entries = {}
-        row = 0
+        rows = []
         for desc, off in zip(self.summands, self.offsets):
             cons = _summand_constraints(self.G, self.kind, desc)
-            entries.update({(row + i, off + j): v
-                            for (i, j), v in cons.entries.items()})
-            row += cons.rows
-        return SparseMatrix(row, self.dim_free, self.G.base.field, entries)
+            rows.extend({off + j: v for j, v in row.items()}
+                        for row in cons.by_row)
+        return from_rows(rows, self.dim_free, self.G.base.field)
 
     @cached_property
     def basis(self) -> list:
@@ -507,7 +504,7 @@ def total_differential(G: GraySemigroup, sel: ComplexSelection,
     def make(key):
         block, scalar = blocks[key]
         return [(i, j, K.mul(scalar, v))
-                for (i, j), v in block.entries.items()]
+                for i, row in enumerate(block.by_row) for j, v in row.items()]
 
     asm = Assembler(tgt.dim_free, src.dim_free, K, make)
     for sdesc, tdesc in blocks:

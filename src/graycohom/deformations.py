@@ -27,7 +27,6 @@ from .defcomplex import (
 from .exactlinalg import (
     Echelon,
     PrimeField,
-    SparseMatrix,
     Vector,
     from_columns,
     rank,
@@ -1214,9 +1213,8 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
             Z.append(a + btup)
     Z.sort()
 
-    Smat = SparseMatrix(
-        1 + max((max(col) for col in cols if col), default=0), nb, K,
-        {(r, j): v for j, col in enumerate(cols) for r, v in col.items()})
+    n_rows = 1 + max((max(col) for col in cols if col), default=0)
+    Smat = from_columns([Vector(n_rows, col) for col in cols], n_rows, K)
     expected = p ** (nb - rank(Smat))
     if len(Z) != expected:
         raise AssertionError(

@@ -6,6 +6,11 @@ over F_p; over Q they are ``int`` when integral and ``Fraction``
 otherwise.  Which field is meant is decided by the ``Field`` object
 carried alongside.  There is no floating point anywhere.
 
+A ``SparseMatrix`` is stored by row, one dict col -> nonzero scalar per
+row, which is the form that products and elimination read.  This module
+is the only one that knows it; the {(row, col): value} form exists only
+as the ``entries`` view.
+
 All elimination is one kernel, ``Echelon``: it takes rows sparsest first
 (fewest nonzeros, ties by row index), which keeps fill-in low, and keeps
 its pivot rows fully reduced.  The reduced row echelon form of a matrix
@@ -184,79 +189,100 @@ class Vector:
         return not self.entries
 
 
-@dataclass
+@dataclass(init=False)
 class SparseMatrix:
-    """Sparse matrix: (row, col) -> nonzero scalar, over a fixed field."""
+    """Sparse matrix over a fixed field, stored by row: by_row[i] is row i
+    as a dict col -> nonzero scalar, and rows = len(by_row).
+
+    entries is a {(row, col): value} view for the tests and the benchmark,
+    built on every read; assigning it (or passing it to the constructor)
+    replaces every row and leaves the given dict as it is.  The setter,
+    the constructor, set and add_to refuse an index out of range."""
 
     rows: int
     cols: int
     field: Field
-    entries: dict = field(default_factory=dict)
+    by_row: list
 
-    def __post_init__(self):
-        for (i, j), v in list(self.entries.items()):
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise IndexError(f"entry ({i},{j}) out of range")
-            if self.field.is_zero(v):
-                del self.entries[(i, j)]
+    def __init__(self, rows: int, cols: int, field_: Field,
+                 entries: dict | None = None):
+        self.rows, self.cols, self.field = rows, cols, field_
+        self.entries = entries or {}
+
+    @property
+    def entries(self) -> dict:
+        return {(i, j): v for i, row in enumerate(self.by_row)
+                for j, v in row.items()}
+
+    @entries.setter
+    def entries(self, entries: dict):
+        rows = [{} for _ in range(self.rows)]
+        for (i, j), v in entries.items():
+            self._check(i, j)
+            if not self.field.is_zero(v):
+                rows[i][j] = v
+        self.by_row = rows
+
+    def _check(self, i, j):
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i},{j}) out of range")
 
     def set(self, i, j, v):
+        self._check(i, j)
         if self.field.is_zero(v):
-            self.entries.pop((i, j), None)
+            self.by_row[i].pop(j, None)
         else:
-            self.entries[(i, j)] = v
+            self.by_row[i][j] = v
 
     def add_to(self, i, j, v):
-        cur = self.entries.get((i, j))
-        if cur is None:
-            self.set(i, j, v)
-        else:
-            self.set(i, j, self.field.add(cur, v))
-
-    def row_lists(self):
-        """entries grouped by row: row -> {col: value}."""
-        rows = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
+        self._check(i, j)
+        self.set(i, j, self.field.add(self.by_row[i].get(j, 0), v))
 
     def mul_vector(self, v: Vector) -> Vector:
         if v.length != self.cols:
             raise ValueError("dimension mismatch")
         K = self.field
+        add, mul, get = K.add, K.mul, v.entries.get
         out: dict = {}
-        for (i, j), a in self.entries.items():
-            x = v.entries.get(j)
-            if x is None:
-                continue
-            out[i] = K.add(out.get(i, K.zero()), K.mul(a, x))
-        return Vector(self.rows, {i: x for i, x in out.items() if not K.is_zero(x)})
+        for i, row in enumerate(self.by_row):
+            acc = K.zero()
+            for j, a in row.items():
+                x = get(j)
+                if x is not None:
+                    acc = add(acc, mul(a, x))
+            if not K.is_zero(acc):
+                out[i] = acc
+        return Vector(self.rows, out)
 
     def mul_matrix(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows or self.field != other.field:
             raise ValueError("dimension or field mismatch")
         p = _modulus(self.field)
-        other_rows = other.row_lists()
-        entries: dict = {}
+        other_rows = other.by_row
+        rows = []
         # one row of the product at a time, keyed by column; over F_p the
         # raw integer sums are reduced once per entry
-        for i, row in enumerate(self.row_lists()):
+        for row in self.by_row:
             acc: dict = {}
             get = acc.get
             for j, a in row.items():
                 for k, b in other_rows[j].items():
                     acc[k] = get(k, 0) + a * b
-            for k, v in acc.items():
-                if p is not None:
-                    v %= p
-                if v:
-                    entries[(i, k)] = v
-        out = SparseMatrix(self.rows, other.cols, self.field)
-        out.entries = entries  # in range and nonzero by construction
-        return out
+            if p is not None:
+                acc = {k: v % p for k, v in acc.items()}
+            rows.append({k: v for k, v in acc.items() if v})
+        return from_rows(rows, other.cols, self.field)
 
     def is_zero(self):
-        return not self.entries
+        return not any(self.by_row)
+
+
+def from_rows(rows: list, cols: int, field_: Field) -> SparseMatrix:
+    """The matrix with the given rows, which it takes over: dicts col ->
+    nonzero scalar with 0 <= col < cols (not checked)."""
+    out = SparseMatrix(0, cols, field_)
+    out.rows, out.by_row = len(rows), rows
+    return out
 
 
 def _modulus(K: Field):
@@ -356,8 +382,9 @@ class Echelon:
 
 
 def _rows(M: SparseMatrix, rhs: Vector | None = None) -> list:
-    """M's rows as dicts, rhs (if given) appended as column M.cols."""
-    rows = M.row_lists()
+    """Copies of M's rows, for Echelon to consume; rhs (if given) appended
+    as column M.cols."""
+    rows = [dict(row) for row in M.by_row]
     if rhs is not None:
         for i, v in rhs.entries.items():
             if v:
@@ -389,20 +416,19 @@ def vstack(A: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
     """Stack A on top of B (same column count and field)."""
     if A.cols != B.cols or A.field != B.field:
         raise ValueError("dimension or field mismatch")
-    out = SparseMatrix(A.rows + B.rows, A.cols, A.field)
-    out.entries = dict(A.entries)  # both parts in range and nonzero
-    out.entries.update({(A.rows + i, j): v for (i, j), v in B.entries.items()})
-    return out
+    return from_rows([dict(row) for row in A.by_row + B.by_row], A.cols,
+                     A.field)
 
 
 def from_columns(columns: list[Vector], rows: int, field_: Field) -> SparseMatrix:
-    out = SparseMatrix(rows, len(columns), field_)
+    out = [{} for _ in range(rows)]
     for j, col in enumerate(columns):
         if col.length != rows:
             raise ValueError("column length mismatch")
         for i, v in col.entries.items():
-            out.set(i, j, v)
-    return out
+            if not field_.is_zero(v):
+                out[i][j] = v
+    return from_rows(out, len(columns), field_)
 
 
 def normalize_leading(field_: Field, v: Vector) -> Vector:

@@ -29,12 +29,12 @@ import inspect
 from dataclasses import dataclass
 
 from .twocat import (
+    ProductCategory,
     Pseudofunctor,
     TwoCategory,
     TwoMorphism,
     ValidationReport,
     product_many,
-    times,
     validate_pseudofunctor,
 )
 
@@ -84,23 +84,11 @@ class GraySemigroup:
 
     def tensor2(self, a: TwoMorphism, b: TwoMorphism) -> TwoMorphism:
         C = self.base
-        K = C.field
         src = self.tcell(a.src, b.src)
         tgt = self.tcell(a.tgt, b.tgt)
-        out = [K.zero()] * C.dim2(src, tgt)
         consts = self.tensor2_const.get((a.src, a.tgt, b.src, b.tgt))
-        if consts:
-            is_zero, mul, add = K.is_zero, K.mul, K.add
-            ac, bc = a.coeffs, b.coeffs
-            for (i, j), vec in consts.items():
-                ci = ac[i]
-                cj = bc[j]
-                if is_zero(ci) or is_zero(cj):
-                    continue
-                c = mul(ci, cj)
-                for k, v in vec.items():
-                    out[k] = add(out[k], mul(c, v))
-        return TwoMorphism(src, tgt, tuple(out))
+        return TwoMorphism(src, tgt, C._bilinear(
+            consts, C.dim2(src, tgt), a.coeffs, b.coeffs))
 
     def tensor2_many(self, terms):
         terms = list(terms)
@@ -158,7 +146,7 @@ def tensor_power(G: GraySemigroup, n: int) -> Pseudofunctor:
     else:
         # C^n = C^{n-1} x C, and the tensor folds from the left
         prev = tensor_power(G, n - 1)
-        dom = times(prev.dom, C)
+        dom = ProductCategory(prev.dom, C)
         obj_map = {X: G.tobj(prev.obj_map[X[:-1]], X[-1])
                    for X in dom.objects}
         cell_map = {f: G.tcell(prev.cell_map[f[:-1]], f[-1])

@@ -20,6 +20,7 @@ from .exactlinalg import (
     Echelon,
     SparseMatrix,
     Vector,
+    from_rows,
     kernel_basis,
     solve_in_span,
     vec_combine,
@@ -134,7 +135,7 @@ def naturality_matrix(space: CochainSpace) -> SparseMatrix:
     L, R, src(t), tgt(t)) at the fiber of t and ("cod", tau, FL, FR,
     src(t2), tgt(t2)) at the fiber of t2.  tau is named by (f_j, its place
     in nonidentity_basis), and L, R, FL and FR are tuples of at most one
-    1-cell.  Rows left with no entry are renumbered away."""
+    1-cell.  Rows left with no entry are dropped."""
     F = space.F
     C, D = F.dom, F.cod
     taus = {f: nonidentity_basis(C, f) for f in C.cell_src}
@@ -153,7 +154,7 @@ def naturality_matrix(space: CochainSpace) -> SparseMatrix:
     def side(A, letters):
         return (A.compose_many(letters),) if letters else ()
 
-    asm = Assembler(0, space.dim_free, D.field, make)
+    terms = []
     row0 = 0
     for t, (first, _, src, tgt) in space.slots.items():
         for j, f in enumerate(t):
@@ -164,14 +165,15 @@ def naturality_matrix(space: CochainSpace) -> SparseMatrix:
             cod = (side(D, images[:j]), side(D, images[j + 1:]))
             for i, (_, f2) in enumerate(taus[f]):
                 first2, _, src2, tgt2 = space.slots[t[:j] + (f2,) + t[j + 1:]]
-                asm.add(("dom", (f, i)) + dom, row0, first)
-                asm.add(("cod", (f, i)) + cod + (src2, tgt2), row0, first2)
+                terms.append((("dom", (f, i)) + dom, row0, first))
+                terms.append((("cod", (f, i)) + cod + (src2, tgt2), row0,
+                              first2))
                 row0 += D.dim2(src, tgt2)
-    M = asm.matrix()
-    kept = {i: r for r, i in enumerate(sorted({i for i, _ in M.entries}))}
-    M.rows = len(kept)
-    M.entries = {(kept[i], j): v for (i, j), v in M.entries.items()}
-    return M
+    asm = Assembler(row0, space.dim_free, D.field, make)
+    for term in terms:
+        asm.add(*term)
+    return from_rows([row for row in asm.matrix().by_row if row],
+                     space.dim_free, D.field)
 
 
 def _composites(F: Pseudofunctor, t, suffixes: dict):
@@ -257,31 +259,34 @@ class Assembler:
 
     An operator is a sequence of entries (k, b, v): v is coefficient k of
     the image of input basis element b, and lands at row row0 + k and
-    column col0 + b."""
+    column col0 + b.  The sum is kept as one dict col -> value per row,
+    which matrix() hands over as the rows of the result."""
 
     def __init__(self, rows: int, cols: int, K, make):
-        self.rows, self.cols, self.field = rows, cols, K
+        self.cols, self.field = cols, K
         self.make = make
         self.ops: dict = {}
-        self.acc: dict = {}
+        self.acc = [{} for _ in range(rows)]
 
     def add(self, key, row0: int, col0: int):
         """Add the operator of key at (row0, col0)."""
         op = self.ops.get(key)
         if op is None:
             op = self.ops[key] = self.make(key)
-        acc = self.acc
-        get, add = acc.get, self.field.add
+        acc, add = self.acc, self.field.add
         for k, b, v in op:
-            at = (row0 + k, col0 + b)
-            cur = get(at)
-            acc[at] = v if cur is None else add(cur, v)
+            row = acc[row0 + k]
+            j = col0 + b
+            cur = row.get(j)
+            row[j] = v if cur is None else add(cur, v)
 
     def matrix(self) -> SparseMatrix:
-        """The sum of the terms added, with entries that cancel dropped."""
-        M = SparseMatrix(self.rows, self.cols, self.field)
-        M.entries = {k: v for k, v in self.acc.items() if v}  # 0 in Q, F_p
-        return M
+        """The sum of the terms added, with entries that cancel dropped
+        row by row."""
+        # a cancelled entry is 0 in Q and in F_p
+        return from_rows([row if all(row.values())
+                          else {j: v for j, v in row.items() if v}
+                          for row in self.acc], self.cols, self.field)
 
 
 def delta_pf_matrix(F: Pseudofunctor, space_n: CochainSpace,

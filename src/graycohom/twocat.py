@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .exactlinalg import Field, SparseMatrix, Vector, solve_in_image
+from .exactlinalg import Field, Vector, from_columns, solve_in_image
 
 
 @dataclass
@@ -206,30 +206,21 @@ class TwoCategory:
     def invert2(self, t: TwoMorphism) -> TwoMorphism:
         """Vertical inverse of an invertible 2-morphism (solved exactly)."""
         f, g = t.src, t.tgt
-        d_fg = self.dim2(f, g)
         d_gf = self.dim2(g, f)
         # columns: candidate s in Hom2(g, f); rows: coefficients of
         # (s . t, t . s) against (1_f, 1_g)
         d_ff = self.dim2(f, f)
         d_gg = self.dim2(g, g)
-        M = SparseMatrix(d_ff + d_gg, d_gf, self.field)
+        K = self.field
+        cols = []
         for i in range(d_gf):
             e = self.basis2(g, f, i)
-            st = self.vcomp(e, t)
-            ts = self.vcomp(t, e)
-            for k, v in enumerate(st.coeffs):
-                M.add_to(k, i, v)
-            for k, v in enumerate(ts.coeffs):
-                M.add_to(d_ff + k, i, v)
-        rhs = Vector(d_ff + d_gg)
-        K = self.field
-        for k, v in enumerate(self.id2(f).coeffs):
-            if not K.is_zero(v):
-                rhs.entries[k] = v
-        for k, v in enumerate(self.id2(g).coeffs):
-            if not K.is_zero(v):
-                rhs.entries[d_ff + k] = v
-        sol = solve_in_image(M, rhs)
+            st_ts = self.vcomp(e, t).coeffs + self.vcomp(t, e).coeffs
+            cols.append(Vector(d_ff + d_gg, dict(enumerate(st_ts))))
+        ids = self.id2(f).coeffs + self.id2(g).coeffs
+        rhs = Vector(d_ff + d_gg, {k: v for k, v in enumerate(ids)
+                                   if not K.is_zero(v)})
+        sol = solve_in_image(from_columns(cols, d_ff + d_gg, K), rhs)
         if sol is None:
             raise ValueError(f"2-morphism is not invertible: {t}")
         coeffs = tuple(sol.entries.get(i, K.zero()) for i in range(d_gf))
@@ -506,12 +497,6 @@ class ProductCategory(TwoCategory):
         return hcomp_const
 
 
-def times(A: TwoCategory, B: TwoCategory) -> TwoCategory:
-    """A x B as a ProductCategory: its composition tables are built on
-    first read."""
-    return ProductCategory(A, B)
-
-
 def product_many(cats: list[TwoCategory]) -> TwoCategory:
     """Cartesian product; objects and 1-cells are tuples, 2-cell spaces are
     tensor products of the component spaces.  It is built one factor at a
@@ -529,7 +514,7 @@ def product_many(cats: list[TwoCategory]) -> TwoCategory:
     for D in cats:
         if D.field != K:
             raise ValueError("field mismatch in product")
-        out = times(out, D)
+        out = ProductCategory(out, D)
     return out
 
 

@@ -2,6 +2,7 @@
 force, sympy's DomainMatrix RREF and rank-nullity identities over Q and
 small prime fields."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -242,7 +243,7 @@ def test_rref_kernel_and_pivots_match_sympy(field_, data):
     R = [[back(x) for x in row] for row in R.to_list()]
 
     assert rank(M) == len(pivots)
-    echelon = Echelon(field_, M.row_lists())
+    echelon = Echelon(field_, [dict(row) for row in M.by_row])
     assert sorted(echelon.rows) == list(pivots)
     for i, c in enumerate(pivots):
         assert {c: 1, **echelon.rows[c]} == \
@@ -352,3 +353,52 @@ def test_solve_in_image_ignores_explicit_zeros_in_b():
     K = GF(5)
     M = to_sparse(K, [[1, 2], [0, 1]])
     assert solve_in_image(M, Vector(2, {0: 1, 1: 0})).entries == {0: 1}
+
+
+READ_FIELDS = [QQ, GF(2), GF(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_=st.sampled_from(READ_FIELDS), data=st.data())
+def test_readers_leave_their_matrices_unchanged(field_, data):
+    # Echelon consumes the rows it is given: a reader that handed it a
+    # matrix's own rows would change a memoised differential in place
+    M = data.draw(sparse_matrices(field_))
+    N = data.draw(sparse_matrices(field_))
+    before = M.entries, N.entries
+    x = Vector(M.cols, {j: 1 for j in range(0, M.cols, 2)})
+    b = Vector(M.rows, {i: 1 for i in range(M.rows)})
+    rank(M)
+    kernel_basis(M)
+    solve_in_image(M, b)
+    M.mul_vector(x)
+    if M.cols == N.rows:
+        M.mul_matrix(N)
+    if M.cols == N.cols:
+        vstack(M, N)
+    assert (M.entries, N.entries) == before
+
+
+def test_entries_is_a_view_that_validates():
+    K = GF(3)
+    E = {(0, 1): 2, (1, 0): 0, (1, 2): 1}
+    M = SparseMatrix(2, 3, K, E)
+    assert M.entries == {(0, 1): 2, (1, 2): 1}
+    assert E == {(0, 1): 2, (1, 0): 0, (1, 2): 1}
+    # a shallow copy with its entries replaced is a new matrix
+    out = copy.copy(M)
+    out.entries = dict(M.entries)
+    out.set(0, 1, 1)
+    out.set(1, 1, 2)
+    assert M.entries == {(0, 1): 2, (1, 2): 1}
+    assert out.entries == {(0, 1): 1, (1, 1): 2, (1, 2): 1}
+    for i in (-1, M.rows):
+        with pytest.raises(IndexError):
+            SparseMatrix(2, 3, K, {(i, 0): 1})
+        with pytest.raises(IndexError):
+            M.entries = {(i, 0): 1}
+        with pytest.raises(IndexError):
+            M.set(i, 0, 1)
+        with pytest.raises(IndexError):
+            M.add_to(i, 0, 1)
+    assert M.entries == {(0, 1): 2, (1, 2): 1}
