@@ -518,11 +518,10 @@ def assemble_complex(G: GraySemigroup, sel: ComplexSelection):
     spaces = {q: total_space(G, sel, q) for q in range(1, sel.qmax + 2)}
     diffs = {q: total_differential(G, sel, q) for q in range(1, sel.qmax + 1)}
     for q in range(1, sel.qmax):
-        prod = diffs[q + 1].mul_matrix(diffs[q])
-        for b in spaces[q].basis:
-            if not prod.mul_vector(b).is_zero():
-                raise AssertionError(
-                    f"differential does not square to zero at degree {q}")
+        images = diffs[q].mul_vectors(spaces[q].basis)
+        if not all(v.is_zero() for v in diffs[q + 1].mul_vectors(images)):
+            raise AssertionError(
+                f"differential does not square to zero at degree {q}")
     return {"selection": sel, "spaces": spaces, "differentials": diffs}
 
 
@@ -535,11 +534,8 @@ def cohomology(G: GraySemigroup, sel: ComplexSelection, q: int):
     sp_q = total_space(G, sel, q)
     D_q = total_differential(G, sel, q)
     cocycle = vstack(D_q, sp_q.constraints)
-    if sp_prev.dim_free:
-        D_prev = total_differential(G, sel, q - 1)
-        im_cols = [D_prev.mul_vector(b) for b in sp_prev.basis]
-    else:
-        im_cols = []
+    im_cols = (total_differential(G, sel, q - 1).mul_vectors(sp_prev.basis)
+               if sp_prev.dim_free else [])
     dim, reps, rank_prev = _cohomology_core(G.base.field, im_cols, cocycle)
     return {
         "selection": sel.kind,

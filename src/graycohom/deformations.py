@@ -9,6 +9,10 @@ going through the differential matrices of defcomplex.  The brute-force
 classifier built on top exhaustively enumerates candidates and witnesses
 over a prime field and is the independent oracle the cohomology results
 are compared against.
+
+What an entry of each of the five data families is (key shape and
+endpoints) is said once, in _ENTRIES; everything else loops over the
+dataclass fields.  Both equation systems share the base _Equations.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 from .defcomplex import (
     ComplexSelection,
@@ -197,154 +201,219 @@ class _Eps:
         return self.C.eq2(a.lead, b.lead) and self.C.eq2(a.eps, b.eps)
 
 
-# ----- accessors with zero defaults -------------------------------------
+# ----- the five data families -------------------------------------------
 
 
-def _tens1_endpoints(G, pp, p):
+def _tens_ends(G, key):
+    (fp, gp), (f, g) = key
     C = G.base
-    src = C.compose(G.tcell(*pp), G.tcell(*p))
-    tgt = G.tcell(C.compose(pp[0], p[0]), C.compose(pp[1], p[1]))
-    return src, tgt
+    return (C.compose(G.tcell(fp, gp), G.tcell(f, g)),
+            G.tcell(C.compose(fp, f), C.compose(gp, g)))
 
 
-def _tens1(G, d: FirstOrderDeformation, pp, p) -> TwoMorphism:
-    val = d.tensorator1.get((pp, p))
-    if val is not None:
-        return val
-    src, tgt = _tens1_endpoints(G, pp, p)
-    return G.base.zero2(src, tgt)
+def _endo_ends(arity, cell):
+    """Endpoints of an entry keyed by a tuple of the given length: the
+    1-cell cell(G, key), twice."""
+    def ends(G, key):
+        if len(key) != arity:
+            raise ValueError(key)
+        return (cell(G, key),) * 2
+    return ends
 
 
-def _ass1(G, d: FirstOrderDeformation, f, g, h) -> TwoMorphism:
-    val = d.associator1.get((f, g, h))
-    if val is not None:
-        return val
-    cell = G.tcell(G.tcell(f, g), h)
-    return G.base.zero2(cell, cell)
+def _tensor_identity(G, objs):
+    return G.base.identity_cell[G.tobj_many(objs)]
 
 
-def _pent1(G, d: FirstOrderDeformation, T) -> TwoMorphism:
-    val = d.pentagonator1.get(tuple(T))
-    if val is not None:
-        return val
-    e = G.base.identity_cell[G.tobj_many(T)]
-    return G.base.zero2(e, e)
+# each family of first-order data: the endpoints of its entry at a key,
+# which raise KeyError, TypeError or ValueError for a key of the wrong
+# shape, and what a key must be
+_ENTRIES = {
+    "tensorator1": (_tens_ends, "a composable pair of 1-cell pairs"),
+    "associator1": (_endo_ends(3, GraySemigroup.tcell_many),
+                    "a 1-cell triple"),
+    "pentagonator1": (_endo_ends(4, _tensor_identity), "an object quadruple"),
+    "psi1": (_endo_ends(2, GraySemigroup.tcell_many), "a 1-cell pair"),
+    "omega1": (_endo_ends(3, _tensor_identity), "an object triple"),
+}
 
 
-class _DeformedCells:
+def _reader(G, role, family, table, reads):
+    """key -> the entry of family in table, or the zero 2-cell between the
+    endpoints of a missing one, made once per key.  With a set reads,
+    every lookup notes (role, family, key) there."""
+    get = table.get
+    if reads is not None:
+        def get(key, plain=get):
+            reads.add((role, family, key))
+            return plain(key)
+    ends, zero2 = _ENTRIES[family][0], G.base.zero2
+
+    @functools.cache
+    def zero(key):
+        return zero2(*ends(G, key))
+
+    def read(key):
+        val = get(key)
+        return zero(key) if val is None else val
+
+    return read
+
+
+class _DataContext:
+    """The first-order data an equation system reads, by (role, family,
+    key): each role is a deformation or a witness.  roles maps a role to
+    its class and to the attribute that reads each of its families, in
+    field order; that attribute is a _reader.  The recording form, given
+    a set reads, notes every lookup there."""
+
+    roles: dict
+
+    def __init__(self, G: GraySemigroup, *data, reads: set | None = None):
+        self.G = G
+        self.C = G.base
+        for (role, (_cls, names)), obj in zip(self.roles.items(), data):
+            for name, fld in zip(names, fields(obj)):
+                setattr(self, name, _reader(
+                    G, role, fld.name, getattr(obj, fld.name), reads))
+
+
+class _DeformedCells(_DataContext):
     """The structural 2-isomorphisms of the eps-extension determined by a
     first-order deformation: undeformed value plus eps times the data."""
 
-    def __init__(self, G: GraySemigroup, d: FirstOrderDeformation):
-        self.G = G
-        self.C = G.base
-        self.d = d
+    roles = {"d": (FirstOrderDeformation, ("_tens", "_ass", "_pent"))}
 
     def tens(self, pp, p) -> ECell:
         lead = self.G.tensorator(pp[0], pp[1], p[0], p[1])
-        return ECell(lead, _tens1(self.G, self.d, pp, p))
+        return ECell(lead, self._tens((pp, p)))
 
     def ass3(self, f, g, h) -> ECell:
         cell = self.G.tcell(self.G.tcell(f, g), h)
-        return ECell(self.C.id2(cell), _ass1(self.G, self.d, f, g, h))
+        return ECell(self.C.id2(cell), self._ass((f, g, h)))
 
     def pent4(self, T) -> ECell:
         e = self.C.identity_cell[self.G.tobj_many(T)]
-        return ECell(self.C.id2(e), _pent1(self.G, self.d, T))
-
-
-class _RecordingCells(_DeformedCells):
-    """Deformed cells that note, as (family, key), each entry of the
-    deformation read through them since the last reset of ``reads``."""
-
-    def __init__(self, G: GraySemigroup, d: FirstOrderDeformation):
-        super().__init__(G, d)
-        self.reads: set = set()
-
-    def tens(self, pp, p) -> ECell:
-        self.reads.add(("tensorator1", (pp, p)))
-        return super().tens(pp, p)
-
-    def ass3(self, f, g, h) -> ECell:
-        self.reads.add(("associator1", (f, g, h)))
-        return super().ass3(f, g, h)
-
-    def pent4(self, T) -> ECell:
-        self.reads.add(("pentagonator1", tuple(T)))
-        return super().pent4(T)
+        return ECell(self.C.id2(e), self._pent(tuple(T)))
 
 
 # ----- shape validation -------------------------------------------------
 
 
-def _check_entry(C, rep, family, key, val, src, tgt):
-    if not isinstance(val, TwoMorphism) or val.src != src or val.tgt != tgt:
-        rep.add_structural(
-            f"{family}[{key!r}] has wrong endpoints (expected {src} => {tgt})")
-        return
-    if len(val.coeffs) != C.dim2(src, tgt):
-        rep.add_structural(f"{family}[{key!r}] has wrong coefficient length")
-
-
-def deformation_shapes(G: GraySemigroup,
-                       d: FirstOrderDeformation) -> ValidationReport:
-    """Endpoint/shape check of every stored entry of a deformation."""
+def data_shapes(G: GraySemigroup, data) -> ValidationReport:
+    """Endpoint/shape check of every stored entry of a deformation or a
+    gauge witness."""
     rep = ValidationReport()
     C = G.base
-    for key, val in d.tensorator1.items():
-        try:
-            (fp, gp), (f, g) = key
-            if C.cell_tgt[f] != C.cell_src[fp] or \
-                    C.cell_tgt[g] != C.cell_src[gp]:
-                raise KeyError(key)
-            src, tgt = _tens1_endpoints(G, (fp, gp), (f, g))
-        except (KeyError, TypeError, ValueError):
-            rep.add_structural(f"tensorator1 key {key!r} is not a composable "
-                               f"pair of 1-cell pairs")
-            continue
-        _check_entry(C, rep, "tensorator1", key, val, src, tgt)
-    for key, val in d.associator1.items():
-        try:
-            f, g, h = key
-            cell = G.tcell(G.tcell(f, g), h)
-        except (KeyError, TypeError, ValueError):
-            rep.add_structural(f"associator1 key {key!r} is not a 1-cell triple")
-            continue
-        _check_entry(C, rep, "associator1", key, val, cell, cell)
-    for key, val in d.pentagonator1.items():
-        try:
-            if len(key) != 4:
-                raise ValueError(key)
-            e = C.identity_cell[G.tobj_many(key)]
-        except (KeyError, TypeError, ValueError):
-            rep.add_structural(
-                f"pentagonator1 key {key!r} is not an object quadruple")
-            continue
-        _check_entry(C, rep, "pentagonator1", key, val, e, e)
+    for fld in fields(data):
+        family = fld.name
+        ends, what = _ENTRIES[family]
+        for key, val in getattr(data, family).items():
+            try:
+                src, tgt = ends(G, key)
+            except (KeyError, TypeError, ValueError):
+                rep.add_structural(f"{family} key {key!r} is not {what}")
+                continue
+            if not isinstance(val, TwoMorphism) or val.src != src or \
+                    val.tgt != tgt:
+                rep.add_structural(f"{family}[{key!r}] has wrong endpoints "
+                                   f"(expected {src} => {tgt})")
+            elif len(val.coeffs) != C.dim2(src, tgt):
+                rep.add_structural(
+                    f"{family}[{key!r}] has wrong coefficient length")
     return rep
 
 
-def witness_shapes(G: GraySemigroup, w: EquivalenceWitness) -> ValidationReport:
-    rep = ValidationReport()
-    C = G.base
-    for key, val in w.psi1.items():
-        try:
-            f, g = key
-            cell = G.tcell(f, g)
-        except (KeyError, TypeError, ValueError):
-            rep.add_structural(f"psi1 key {key!r} is not a 1-cell pair")
-            continue
-        _check_entry(C, rep, "psi1", key, val, cell, cell)
-    for key, val in w.omega1.items():
-        try:
-            if len(key) != 3:
-                raise ValueError(key)
-            e = C.identity_cell[G.tobj_many(key)]
-        except (KeyError, TypeError, ValueError):
-            rep.add_structural(f"omega1 key {key!r} is not an object triple")
-            continue
-        _check_entry(C, rep, "omega1", key, val, e, e)
-    return rep
+# ----- equation systems -------------------------------------------------
+
+
+def _nonzero(res: list) -> dict:
+    """The nonzero coefficients of a residual list, {row: value}."""
+    return {r: v for r, v in enumerate(res) if v}
+
+
+class _Equations:
+    """Ordered instances (name, key, fn) of a system of equations; fn reads
+    its data through a context of class ``context``, and the residual of
+    an instance is zero iff it holds and linear in the data."""
+
+    context: type
+
+    def __init__(self, G: GraySemigroup):
+        self.G = G
+        self.C = G.base
+        self.instances = []
+        self._build()
+
+    def _add(self, name, key, fn):
+        self.instances.append((name, key, fn))
+
+    def _composable(self, cells):
+        C = self.C
+        return [(fp, f) for fp in cells for f in cells
+                if C.cell_tgt[f] == C.cell_src[fp]]
+
+    def residual(self, fn, ctx: _DataContext) -> TwoMorphism:
+        return fn(ctx)
+
+    def residual_list(self, *data) -> list:
+        """All residual coefficients in instance order (linear in the data
+        together)."""
+        ctx = self.context(self.G, *data)
+        return [c for _name, _key, fn in self.instances
+                for c in self.residual(fn, ctx).coeffs]
+
+    def check(self, rep: ValidationReport, *data) -> ValidationReport:
+        """rep with every violated instance of the data added."""
+        ctx = self.context(self.G, *data)
+        for name, key, fn in self.instances:
+            if not self.C.is_zero2(self.residual(fn, ctx)):
+                rep.add(name, key)
+        return rep
+
+    @functools.cached_property
+    def layout(self):
+        """(offsets, readers): the first residual row of each instance, and
+        for each (role, family, key) of data the instances that read it.
+        Built by one literal pass on zero data, which also checks that its
+        residual vanishes.  An instance picks its keys from its own cells,
+        never from the data, so the read sets hold for all data."""
+        reads = set()
+        ctx = self.context(
+            self.G, *(cls() for cls, _names in self.context.roles.values()),
+            reads=reads)
+        offsets, readers = [], {}
+        row = 0
+        for i, (_name, _key, fn) in enumerate(self.instances):
+            reads.clear()
+            res = self.residual(fn, ctx)
+            if not _is_zero(res):
+                raise AssertionError(
+                    "the zero deformation has a nonzero residual")
+            offsets.append(row)
+            row += len(res.coeffs)
+            for entry in reads:
+                readers.setdefault(entry, []).append(i)
+        return offsets, readers
+
+    def column(self, *data) -> dict:
+        """_nonzero(residual_list(*data)).  Only the instances that read an
+        entry of the data are evaluated (literally); the residual of every
+        other one is that of zero data, which layout has checked is
+        zero."""
+        offsets, readers = self.layout
+        touched = set()
+        for role, obj in zip(self.context.roles, data):
+            for fld in fields(obj):
+                for key in getattr(obj, fld.name):
+                    touched.update(readers.get((role, fld.name, key), ()))
+        ctx = self.context(self.G, *data)
+        col = {}
+        for i in sorted(touched):
+            res = self.residual(self.instances[i][2], ctx)
+            col.update((offsets[i] + k, v) for k, v in enumerate(res.coeffs)
+                       if v)
+        return col
 
 
 # ----- the eight structural equations -----------------------------------
@@ -383,28 +452,17 @@ def _tpast_right(G, E, dc, quad, U):
     ])
 
 
-class _StructuralSystem:
+class _StructuralSystem(_Equations):
     """Ordered instance list of the structural equations, each instance a
     function taking the deformed cells to an (LHS, RHS) pair of eps-pairs.
     The lead components agree by the undeformed axioms; the eps components
     are linear in the deformation data."""
 
+    context = _DeformedCells
+
     def __init__(self, G: GraySemigroup):
-        self.G = G
-        self.C = G.base
         self.E = _Eps(G)
-        self.instances = []
-        self._build()
-
-    # -- helpers --
-
-    def _add(self, name, key, fn):
-        self.instances.append((name, key, fn))
-
-    def _composable(self, cells):
-        C = self.C
-        return [(fp, f) for fp in cells for f in cells
-                if C.cell_tgt[f] == C.cell_src[fp]]
+        super().__init__(G)
 
     def _build(self):
         G, C, E = self.G, self.C, self.E
@@ -618,56 +676,6 @@ class _StructuralSystem:
             raise AssertionError("undeformed structural equation violated")
         return C.add2(lhs.eps, C.neg2(rhs.eps))
 
-    def residual_list(self, d: FirstOrderDeformation) -> list:
-        """All residual coefficients in instance order (linear in d)."""
-        dc = _DeformedCells(self.G, d)
-        out = []
-        for _name, _key, fn in self.instances:
-            out.extend(self.residual(fn, dc).coeffs)
-        return out
-
-    @functools.cached_property
-    def layout(self):
-        """(offsets, readers): the first residual row of each instance, and
-        for each (family, key) of deformation data the instances that read
-        it.  Built by one literal pass on the zero deformation, which also
-        checks that its residual vanishes.  An instance picks its keys from
-        its own cells, never from the data, so the read sets hold for every
-        deformation."""
-        dc = _RecordingCells(self.G, zero_deformation())
-        offsets, readers = [], {}
-        row = 0
-        for i, (_name, _key, fn) in enumerate(self.instances):
-            dc.reads.clear()
-            res = self.residual(fn, dc)
-            if not _is_zero(res):
-                raise AssertionError(
-                    "the zero deformation has a nonzero residual")
-            offsets.append(row)
-            row += len(res.coeffs)
-            for entry in dc.reads:
-                readers.setdefault(entry, []).append(i)
-        return offsets, readers
-
-    def residual_column(self, d: FirstOrderDeformation) -> dict:
-        """The nonzero entries of residual_list(d) by row.  Only the
-        instances that read an entry of d are evaluated (literally); the
-        residual of every other one is that of the zero deformation,
-        which layout has checked is zero."""
-        offsets, readers = self.layout
-        touched = set()
-        for family in ("tensorator1", "associator1", "pentagonator1"):
-            for key in getattr(d, family):
-                touched.update(readers.get((family, key), ()))
-        dc = _DeformedCells(self.G, d)
-        col = {}
-        for i in sorted(touched):
-            res = self.residual(self.instances[i][2], dc)
-            for k, v in enumerate(res.coeffs):
-                if v:
-                    col[offsets[i] + k] = v
-        return col
-
 
 @per_structure
 def _structural_system(G: GraySemigroup) -> _StructuralSystem:
@@ -679,15 +687,10 @@ def check_structural(G: GraySemigroup,
     """Evaluate the eight structural equations of the eps-extension with d
     substituted and extract the first-order coefficient; lists every
     violated condition name with its instance key."""
-    rep = deformation_shapes(G, d)
+    rep = data_shapes(G, d)
     if rep.structural_errors:
         return rep
-    sys = _structural_system(G)
-    dc = _DeformedCells(G, d)
-    for name, key, fn in sys.instances:
-        if not G.base.is_zero2(sys.residual(fn, dc)):
-            rep.add(name, key)
-    return rep
+    return _structural_system(G).check(rep, d)
 
 
 # ----- the five equivalence equations -----------------------------------
@@ -705,68 +708,38 @@ def _sum2(C, terms):
     return out
 
 
-class _TransferContext:
+class _TransferContext(_DataContext):
     """Lookup of the data entering the equivalence equations, with zero
-    defaults: two deformations and a gauge witness."""
+    defaults: two deformations and a gauge witness.  a1, a2, p1, p2 and
+    omega read a key tuple; psi and t1, t2 take its two parts."""
 
-    def __init__(self, G, d1, d2, w):
-        self.G = G
-        self.C = G.base
-        self.d1 = d1
-        self.d2 = d2
-        self.w = w
+    roles = {"d1": (FirstOrderDeformation, ("_t1", "a1", "p1")),
+             "d2": (FirstOrderDeformation, ("_t2", "a2", "p2")),
+             "w": (EquivalenceWitness, ("_psi", "omega"))}
 
     def psi(self, f, g):
-        val = self.w.psi1.get((f, g))
-        if val is not None:
-            return val
-        cell = self.G.tcell(f, g)
-        return self.C.zero2(cell, cell)
-
-    def omega(self, T):
-        val = self.w.omega1.get(tuple(T))
-        if val is not None:
-            return val
-        e = self.C.identity_cell[self.G.tobj_many(T)]
-        return self.C.zero2(e, e)
+        return self._psi((f, g))
 
     def t1(self, pp, p):
-        return _tens1(self.G, self.d1, pp, p)
+        return self._t1((pp, p))
 
     def t2(self, pp, p):
-        return _tens1(self.G, self.d2, pp, p)
-
-    def a1(self, t):
-        return _ass1(self.G, self.d1, *t)
-
-    def a2(self, t):
-        return _ass1(self.G, self.d2, *t)
-
-    def p1(self, T):
-        return _pent1(self.G, self.d1, T)
-
-    def p2(self, T):
-        return _pent1(self.G, self.d2, T)
+        return self._t2((pp, p))
 
 
-class _EquivalenceSystem:
+class _EquivalenceSystem(_Equations):
     """Ordered instances of the equations stating that a gauge witness
     carries one first-order deformation into another; each instance maps a
     _TransferContext to its residual 2-morphism (zero iff satisfied)."""
 
-    def __init__(self, G: GraySemigroup):
-        self.G = G
-        self.C = G.base
-        self.instances = []
-        self._build()
+    context = _TransferContext
 
     def _build(self):
         G, C = self.G, self.C
         idc = C.identity_cell
         cells = sorted(C.cell_src)
         objs = sorted(C.objects)
-        comp = [(fp, f) for fp in cells for f in cells
-                if C.cell_tgt[f] == C.cell_src[fp]]
+        comp = self._composable(cells)
 
         # naturality of the gauge 2-cells
         for f in cells:
@@ -896,14 +869,6 @@ class _EquivalenceSystem:
 
         return fn
 
-    def residual_list(self, ctx: _TransferContext) -> list:
-        """All residual coefficients in instance order (linear in the two
-        deformations and the witness together)."""
-        out = []
-        for _name, _key, fn in self.instances:
-            out.extend(fn(ctx).coeffs)
-        return out
-
 
 @per_structure
 def _equivalence_system(G: GraySemigroup) -> _EquivalenceSystem:
@@ -915,15 +880,11 @@ def check_equivalence(G: GraySemigroup, d1: FirstOrderDeformation,
                       w: EquivalenceWitness) -> ValidationReport:
     """Does the gauge witness w carry d1 into d2?  Evaluates the transfer
     equations literally and lists every violated instance."""
-    rep = deformation_shapes(G, d1).merged(
-        deformation_shapes(G, d2)).merged(witness_shapes(G, w))
+    rep = data_shapes(G, d1).merged(
+        data_shapes(G, d2)).merged(data_shapes(G, w))
     if rep.structural_errors:
         return rep
-    ctx = _TransferContext(G, d1, d2, w)
-    for name, key, fn in _equivalence_system(G).instances:
-        if not G.base.is_zero2(fn(ctx)):
-            rep.add(name, key)
-    return rep
+    return _equivalence_system(G).check(rep, d1, d2, w)
 
 
 # ----- gauge shift of the zero deformation ------------------------------
@@ -950,7 +911,7 @@ def equivalence_shift(G: GraySemigroup,
     itself for the tensorator, minus it for the other two.  The system
     lists the equations family by family in that order.  The result is
     re-checked against the literal equations through check_equivalence."""
-    rep = witness_shapes(G, w)
+    rep = data_shapes(G, w)
     if not rep.ok:
         raise ValueError("; ".join(rep.structural_errors))
     C = G.base
@@ -975,57 +936,60 @@ def equivalence_shift(G: GraySemigroup,
 
 # the deformation or gauge family each summand carries, and whether that
 # family is keyed by the one letter of a tuple rather than by the tuple
-_FAMILIES = {("bi", 1, 1): ("tensorator1", False),
-             ("bi", 0, 2): ("associator1", True),
-             ("bi", 0, 1): ("psi1", True),
-             ("pent", 2): ("omega1", False),
-             ("pent", 3): ("pentagonator1", False)}
+_SUMMAND_FAMILY = {("bi", 1, 1): ("tensorator1", False),
+                   ("bi", 0, 2): ("associator1", True),
+                   ("bi", 0, 1): ("psi1", True),
+                   ("pent", 2): ("omega1", False),
+                   ("pent", 3): ("pentagonator1", False)}
 
 
 def _family(desc):
-    if desc not in _FAMILIES:
+    if desc not in _SUMMAND_FAMILY:
         raise ValueError(
             f"summand {desc} carries no deformation or gauge data")
-    return _FAMILIES[desc]
+    return _SUMMAND_FAMILY[desc]
 
 
-def _families_from_vector(G: GraySemigroup, kind: str, q: int, vec: Vector):
-    sel = ComplexSelection(kind)
-    sp = total_space(G, sel, q)
+def _families_from_vector(G: GraySemigroup, kind: str, q: int, vec: Vector,
+                          cls, foreign: str):
+    """The data of class cls that total free coordinates of degree q
+    assign; foreign is the error for a value in a family cls lacks."""
+    sp = total_space(G, ComplexSelection(kind), q)
     if vec.length != sp.dim_free:
         raise ValueError("coordinate vector has the wrong length")
-    out = {"tensorator1": {}, "associator1": {}, "pentagonator1": {},
-           "psi1": {}, "omega1": {}}
+    data = cls()
     for desc, t, tm in sp.nonzero_values(vec):
         family, by_letter = _family(desc)
-        out[family][t[0] if by_letter else t] = tm
-    return out
+        table = getattr(data, family, None)
+        if table is None:
+            raise ValueError(foreign)
+        table[t[0] if by_letter else t] = tm
+    return data
 
 
 def deformation_from_vector(G: GraySemigroup, kind: str,
                             vec: Vector) -> FirstOrderDeformation:
     """Decode total free coordinates of the candidate degree of a selection
     into sparse deformation data."""
-    fam = _families_from_vector(G, kind, candidate_degree(kind), vec)
-    if fam["psi1"] or fam["omega1"]:
-        raise ValueError("vector carries gauge data, not deformation data")
-    return FirstOrderDeformation(fam["tensorator1"], fam["associator1"],
-                                 fam["pentagonator1"])
+    return _families_from_vector(
+        G, kind, candidate_degree(kind), vec, FirstOrderDeformation,
+        "vector carries gauge data, not deformation data")
 
 
 def witness_from_vector(G: GraySemigroup, kind: str,
                         vec: Vector) -> EquivalenceWitness:
     """Decode total free coordinates one degree below the candidates."""
-    fam = _families_from_vector(G, kind, candidate_degree(kind) - 1, vec)
-    if fam["tensorator1"] or fam["associator1"] or fam["pentagonator1"]:
-        raise ValueError("vector carries deformation data, not gauge data")
-    return EquivalenceWitness(fam["psi1"], fam["omega1"])
+    return _families_from_vector(
+        G, kind, candidate_degree(kind) - 1, vec, EquivalenceWitness,
+        "vector carries deformation data, not gauge data")
 
 
 def _families_to_vector(G: GraySemigroup, kind: str, q: int,
-                        families: dict) -> Vector:
-    sel = ComplexSelection(kind)
-    sp = total_space(G, sel, q)
+                        data) -> Vector:
+    rep = data_shapes(G, data)
+    if not rep.ok:
+        raise ValueError("; ".join(rep.structural_errors))
+    sp = total_space(G, ComplexSelection(kind), q)
     K = G.base.field
     C = G.base
     entries = {}
@@ -1033,42 +997,31 @@ def _families_to_vector(G: GraySemigroup, kind: str, q: int,
     for desc, off in zip(sp.summands, sp.offsets):
         family, by_letter = _family(desc)
         slots = summand_space(G, desc).slots
-        for key, tm in families.get(family, {}).items():
+        for key, tm in getattr(data, family, {}).items():
             first = slots[(key,) if by_letter else tuple(key)][0]
             for b, c in enumerate(tm.coeffs):
                 if not K.is_zero(c):
                     entries[off + first + b] = c
         consumed.add(family)
-    for family, data in families.items():
-        if family in consumed:
+    for fld in fields(data):
+        if fld.name in consumed:
             continue
-        for key, tm in data.items():
+        for key, tm in getattr(data, fld.name).items():
             if not C.is_zero2(tm):
                 raise ValueError(
-                    f"{family}[{key!r}] is nonzero but the {kind!r} "
+                    f"{fld.name}[{key!r}] is nonzero but the {kind!r} "
                     f"selection has no summand for it")
     return Vector(sp.dim_free, entries)
 
 
 def vector_from_deformation(G: GraySemigroup, kind: str,
                             d: FirstOrderDeformation) -> Vector:
-    rep = deformation_shapes(G, d)
-    if not rep.ok:
-        raise ValueError("; ".join(rep.structural_errors))
-    return _families_to_vector(
-        G, kind, candidate_degree(kind),
-        {"tensorator1": d.tensorator1, "associator1": d.associator1,
-         "pentagonator1": d.pentagonator1})
+    return _families_to_vector(G, kind, candidate_degree(kind), d)
 
 
 def vector_from_witness(G: GraySemigroup, kind: str,
                         w: EquivalenceWitness) -> Vector:
-    rep = witness_shapes(G, w)
-    if not rep.ok:
-        raise ValueError("; ".join(rep.structural_errors))
-    return _families_to_vector(
-        G, kind, candidate_degree(kind) - 1,
-        {"psi1": w.psi1, "omega1": w.omega1})
+    return _families_to_vector(G, kind, candidate_degree(kind) - 1, w)
 
 
 # ----- witness search ---------------------------------------------------
@@ -1119,20 +1072,15 @@ def _combine_columns(p: int, coeffs, cols, start=None) -> tuple:
     return tuple(sorted((r, v) for r, v in acc.items() if v))
 
 
-def _transfer_residual(G: GraySemigroup, d1, d2, w) -> dict:
-    """The literal transfer residual of (d1, d2, w), {row: value}."""
-    res = _equivalence_system(G).residual_list(_TransferContext(G, d1, d2, w))
-    return {r: v for r, v in enumerate(res) if v}
-
-
 def _transfer_columns(G: GraySemigroup, d1, d2, witnesses):
     """(r0, cols): the literal transfer residual of (d1, d2) at the zero
     witness, and that of each witness between zero deformations.  The
     residual is linear in (d1, d2, w) together, so at sum_j c_j
     witnesses[j] it is r0 + sum_j c_j cols[j]."""
+    esys = _equivalence_system(G)
     zero = zero_deformation()
-    return (_transfer_residual(G, d1, d2, zero_witness()),
-            [_transfer_residual(G, zero, zero, w) for w in witnesses])
+    return (_nonzero(esys.residual_list(d1, d2, zero_witness())),
+            [_nonzero(esys.residual_list(zero, zero, w)) for w in witnesses])
 
 
 def brute_force_classes(G: GraySemigroup, kind: str = "unit",
@@ -1183,8 +1131,7 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
         return deformation_from_vector(
             G, kind, vec_combine(K, basis, coeff_tuple, sp.dim_free))
 
-    cols = [sys.residual_column(deformation_from_vector(G, kind, b))
-            for b in basis]
+    cols = [sys.column(deformation_from_vector(G, kind, b)) for b in basis]
 
     def lin_residual(assignment, cols_part=cols):
         return _combine_columns(p, assignment, cols_part)
@@ -1192,9 +1139,8 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
     # the join key is only honest if the residual really is linear
     for _ in range(3):
         coeffs = tuple(rng.randrange(p) for _ in range(nb))
-        direct = sys.residual_list(dfv(coeffs))
-        if tuple((r, v) for r, v in enumerate(direct) if v) != \
-                lin_residual(coeffs):
+        direct = _nonzero(sys.residual_list(dfv(coeffs)))
+        if tuple(direct.items()) != lin_residual(coeffs):
             raise AssertionError(
                 f"the structural residual is not linear at {coeffs}")
 
@@ -1303,7 +1249,8 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
             wcoeffs = tuple(rng.randrange(p) for _ in range(nw))
             w = witness_from_vector(
                 G, kind, vec_combine(K, wsp.basis, wcoeffs, wsp.dim_free))
-            if tuple(_transfer_residual(G, da, db, w).items()) != \
+            direct = _nonzero(_equivalence_system(G).residual_list(da, db, w))
+            if tuple(direct.items()) != \
                     _combine_columns(p, wcoeffs, wcols, r0):
                 raise AssertionError(
                     f"the transfer residual is not linear at {wcoeffs}")
@@ -1361,8 +1308,7 @@ class ExtendedStructure:
 
         cells = sorted(C.cell_src)
         objs = sorted(C.objects)
-        comp = [(fp, f) for fp in cells for f in cells
-                if C.cell_tgt[f] == C.cell_src[fp]]
+        comp = _structural_system(G)._composable(cells)
         for (fp, f) in comp:
             for (gp, g) in comp:
                 t = dc.tens((fp, gp), (f, g))

@@ -239,20 +239,32 @@ class SparseMatrix:
         self.set(i, j, self.field.add(self.by_row[i].get(j, 0), v))
 
     def mul_vector(self, v: Vector) -> Vector:
-        if v.length != self.cols:
+        return self.mul_vectors([v])[0]
+
+    def mul_vectors(self, vs: list) -> list:
+        """[M v for v in vs] in one pass over the rows: each row reads only
+        the vectors that are nonzero in its columns.  Each entry sums its
+        terms in the row's column order; over F_p the raw integer sum is
+        reduced once."""
+        if any(v.length != self.cols for v in vs):
             raise ValueError("dimension mismatch")
-        K = self.field
-        add, mul, get = K.add, K.mul, v.entries.get
-        out: dict = {}
+        p = _modulus(self.field)
+        by_col: dict = {}
+        for t, v in enumerate(vs):
+            for j, x in v.entries.items():
+                by_col.setdefault(j, []).append((t, x))
+        outs = [{} for _ in vs]
         for i, row in enumerate(self.by_row):
-            acc = K.zero()
+            acc: dict = {}
+            get = acc.get
             for j, a in row.items():
-                x = get(j)
-                if x is not None:
-                    acc = add(acc, mul(a, x))
-            if not K.is_zero(acc):
-                out[i] = acc
-        return Vector(self.rows, out)
+                for t, x in by_col.get(j, ()):
+                    acc[t] = get(t, 0) + a * x
+            for t, s in acc.items():
+                s = s if p is None else s % p
+                if s:
+                    outs[t][i] = s
+        return [Vector(self.rows, out) for out in outs]
 
     def mul_matrix(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows or self.field != other.field:
@@ -459,8 +471,7 @@ def vec_combine(field_: Field, vectors: list, coeffs, length: int) -> Vector:
 def solve_in_span(M: SparseMatrix, basis: list, b: Vector) -> Vector | None:
     """Some x in the span of basis with M x = b exactly, or None."""
     K = M.field
-    sol = solve_in_image(
-        from_columns([M.mul_vector(v) for v in basis], M.rows, K), b)
+    sol = solve_in_image(from_columns(M.mul_vectors(basis), M.rows, K), b)
     if sol is None:
         return None
     return vec_combine(K, [basis[j] for j in sol.entries],

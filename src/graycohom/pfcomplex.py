@@ -458,7 +458,7 @@ def pf_cohomology(F: Pseudofunctor, n: int, cap: int = DEFAULT_DEGREE_CAP):
     D_n = delta_pf_matrix(F, space_n, space_next)
     D_prev = delta_pf_matrix(F, space_prev, space_n)
     cocycle = vstack(D_n, space_n.constraints)
-    im_cols = [D_prev.mul_vector(b) for b in space_prev.basis]
+    im_cols = D_prev.mul_vectors(space_prev.basis)
     dim, reps, _ = _cohomology_core(F.cod.field, im_cols, cocycle)
     return {
         "dimension": dim,
@@ -530,8 +530,3 @@ class PFClassification:
         K = self.F.cod.field
         diff = vec_combine(K, [c1, c2], [K.one(), K.neg(K.one())], c1.length)
         return solve_in_span(self.delta1, self.space1.basis, diff)
-
-
-def classify_pf_deformations(F: Pseudofunctor,
-                             cap: int = DEFAULT_DEGREE_CAP) -> PFClassification:
-    return PFClassification(F, cap)

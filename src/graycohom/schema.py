@@ -14,6 +14,7 @@ integral values and "a/b" strings for non-integral rationals.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 from .deformations import EquivalenceWitness, FirstOrderDeformation
@@ -413,54 +414,37 @@ def _check_tensor_shapes(base: TwoCategory, tensor1, tensor2_const,
 # ----- deformations and witnesses ---------------------------------------
 
 
+def _data_to_json(typ: str, data) -> dict:
+    families = {fld.name: _sorted_pairs(getattr(data, fld.name), encode_id,
+                                        encode_two_morphism)
+                for fld in fields(data)}
+    return {"schema": SCHEMA, "type": typ, "families": families}
+
+
+def _data_from_json(doc, typ: str, cls):
+    _require(doc, typ)
+    fams = doc.get("families")
+    if not isinstance(fams, dict):
+        raise SchemaError(f"missing {typ} families")
+    return cls(**{fld.name: _decode_pairs(fams.get(fld.name, []), decode_id,
+                                          decode_two_morphism)
+                  for fld in fields(cls)})
+
+
 def deformation_to_json(d: FirstOrderDeformation) -> dict:
-    return {
-        "schema": SCHEMA,
-        "type": "deformation",
-        "families": {
-            "tensorator1": _sorted_pairs(d.tensorator1, encode_id,
-                                         encode_two_morphism),
-            "associator1": _sorted_pairs(d.associator1, encode_id,
-                                         encode_two_morphism),
-            "pentagonator1": _sorted_pairs(d.pentagonator1, encode_id,
-                                           encode_two_morphism),
-        },
-    }
+    return _data_to_json("deformation", d)
 
 
 def deformation_from_json(doc) -> FirstOrderDeformation:
-    _require(doc, "deformation")
-    fams = doc.get("families")
-    if not isinstance(fams, dict):
-        raise SchemaError("missing deformation families")
-    out = {}
-    for name in ("tensorator1", "associator1", "pentagonator1"):
-        out[name] = _decode_pairs(fams.get(name, []), decode_id,
-                                  decode_two_morphism)
-    return FirstOrderDeformation(**out)
+    return _data_from_json(doc, "deformation", FirstOrderDeformation)
 
 
 def witness_to_json(w: EquivalenceWitness) -> dict:
-    return {
-        "schema": SCHEMA,
-        "type": "witness",
-        "families": {
-            "psi1": _sorted_pairs(w.psi1, encode_id, encode_two_morphism),
-            "omega1": _sorted_pairs(w.omega1, encode_id,
-                                    encode_two_morphism),
-        },
-    }
+    return _data_to_json("witness", w)
 
 
 def witness_from_json(doc) -> EquivalenceWitness:
-    _require(doc, "witness")
-    fams = doc.get("families")
-    if not isinstance(fams, dict):
-        raise SchemaError("missing witness families")
-    return EquivalenceWitness(
-        _decode_pairs(fams.get("psi1", []), decode_id, decode_two_morphism),
-        _decode_pairs(fams.get("omega1", []), decode_id,
-                      decode_two_morphism))
+    return _data_from_json(doc, "witness", EquivalenceWitness)
 
 
 # ----- entry points -----------------------------------------------------

@@ -5,6 +5,7 @@ equivalence search, exhaustive classification and epsilon-ring extension."""
 import collections
 import itertools
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -29,15 +30,14 @@ from graycohom.deformations import (
     candidate_degree,
     check_equivalence,
     check_structural,
+    data_shapes,
     deformation_from_vector,
-    deformation_shapes,
     equivalence_shift,
     extend_and_deform,
     find_equivalence,
     vector_from_deformation,
     vector_from_witness,
     witness_from_vector,
-    witness_shapes,
     zero_deformation,
     zero_witness,
 )
@@ -227,19 +227,62 @@ def test_witness_round_trip(g_fiber2):
         assert vector_from_witness(G, "unit", w).entries == b.entries
 
 
-def test_shape_checks_report_bad_entries(g_fiber2):
-    G = g_fiber2
+# what a key of each family must be, as the shape check words it
+KEY_SHAPES = {
+    "tensorator1": "a composable pair of 1-cell pairs",
+    "associator1": "a 1-cell triple",
+    "pentagonator1": "an object quadruple",
+    "psi1": "a 1-cell pair",
+    "omega1": "an object triple",
+}
+
+
+def test_shape_checks_report_bad_entries(g_sign3):
+    """For every family of deformation and witness data, a zero entry at a
+    good key passes, and a malformed key, a value with the wrong endpoints
+    and one with the wrong coefficient count each give the family's own
+    message."""
+    G = g_sign3
     C = G.base
-    cells = sorted(C.cell_src)
-    f, other = cells[0], cells[1]
-    wrong = C.id2(other)  # endo of the wrong 1-cell
-    d = FirstOrderDeformation(associator1={(f, f, f): wrong})
-    rep = deformation_shapes(G, d)
-    assert not rep.ok
-    assert any("associator1" in msg for msg in rep.structural_errors)
-    w = EquivalenceWitness(psi1={("nope",): wrong})
-    rep = witness_shapes(G, w)
-    assert not rep.ok
+    idc = C.identity_cell
+    X, Y = sorted(C.objects)
+    f, g = (next(c for c in sorted(C.cell_src)
+                 if C.cell_src[c] == Z and c != idc[Z]) for Z in (X, Y))
+    cases = {   # family: (good key, its endpoints, malformed key)
+        "tensorator1": (
+            ((idc[X], idc[Y]), (f, g)),
+            (C.compose(G.tcell(idc[X], idc[Y]), G.tcell(f, g)),
+             G.tcell(C.compose(idc[X], f), C.compose(idc[Y], g))),
+            ((idc[Y], idc[Y]), (idc[X], idc[X]))),   # not composable
+        "associator1": ((f, g, f), (G.tcell(G.tcell(f, g), f),) * 2,
+                        (f, g)),
+        "pentagonator1": ((X, Y, X, Y),
+                          (idc[G.tobj_many((X, Y, X, Y))],) * 2, (X, Y, X)),
+        "psi1": ((f, g), (G.tcell(f, g),) * 2, ("nope",)),
+        "omega1": ((X, Y, Y), (idc[G.tobj_many((X, Y, Y))],) * 2,
+                   (X, "nope", Y)),
+    }
+    seen = []
+    for cls in (FirstOrderDeformation, EquivalenceWitness):
+        for fld in fields(cls):
+            family = fld.name
+            key, (src, tgt), bad = cases[family]
+            zero = C.zero2(src, tgt)
+            other = next(c for c in sorted(C.cell_src) if c != src)
+
+            def errors(table):
+                return data_shapes(G, cls(**{family: table})).structural_errors
+
+            assert errors({key: zero}) == []
+            assert errors({bad: zero}) == [
+                f"{family} key {bad!r} is not {KEY_SHAPES[family]}"]
+            assert errors({key: C.id2(other)}) == [
+                f"{family}[{key!r}] has wrong endpoints "
+                f"(expected {src} => {tgt})"]
+            assert errors({key: TwoMorphism(src, tgt, zero.coeffs + (0,))}) \
+                == [f"{family}[{key!r}] has wrong coefficient length"]
+            seen.append(family)
+    assert sorted(seen) == sorted(KEY_SHAPES)
 
 
 def test_extend_and_deform_validates_and_refuses(g_fiber2):
@@ -286,7 +329,7 @@ def test_touched_instance_columns_equal_literal_residuals(name, p, kinds):
         for b in sp.basis:
             d = deformation_from_vector(G, kind, b)
             full = sys.residual_list(d)
-            assert sys.residual_column(d) == {
+            assert sys.column(d) == {
                 r: v for r, v in enumerate(full) if v}, (kind, b.entries)
             columns += 1
     assert columns
@@ -308,7 +351,7 @@ def test_transfer_combination_equals_literal_residual(g_fiber2):
     def literal(coeffs):
         w = witness_from_vector(G, kind, _combine(K, wsp.basis, coeffs,
                                                   wsp.dim_free))
-        res = esys.residual_list(dm._TransferContext(G, da, db, w))
+        res = esys.residual_list(da, db, w)
         return tuple((r, v) for r, v in enumerate(res) if v)
 
     rng = random.Random(11)

@@ -153,6 +153,35 @@ def test_mul_matrix_matches_schoolbook(field_, data):
             assert (i, j) not in P.entries or P.entries[(i, j)] != 0
 
 
+@settings(max_examples=80, deadline=None)
+@given(field_=st.sampled_from(FIELDS), data=st.data())
+def test_mul_vectors_matches_schoolbook(field_, data):
+    """mul_vectors is the schoolbook product of the matrix with each
+    vector, also for no vectors and for the zero vector; a vector of the
+    wrong length raises."""
+    dims = st.integers(1, 4)
+    r, c = data.draw(dims), data.draw(dims)
+    entry = scalars(field_)
+    a = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                           min_size=r, max_size=r))
+    xs = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                            max_size=4)) + [[0] * c]
+    M = to_sparse_scalars(field_, a)
+    got = M.mul_vectors([Vector(c, {j: x for j, x in enumerate(x) if x})
+                         for x in xs])
+    assert len(got) == len(xs)
+    for x, v in zip(xs, got):
+        assert v.length == r and 0 not in v.entries.values()
+        for i in range(r):
+            want = sum(Fraction(a[i][k]) * Fraction(x[k]) for k in range(c))
+            if field_ != QQ:
+                want = want.numerator % field_.p
+            assert v.entries.get(i, 0) == want
+    assert M.mul_vectors([]) == []
+    with pytest.raises(ValueError):
+        M.mul_vectors([Vector(c), Vector(c + 1)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_rank_over_rationals_with_fractional_entries(data):

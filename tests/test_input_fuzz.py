@@ -1,6 +1,7 @@
 """Single-leaf mutations of an exported document never make a command
 raise: each one is parsed, refused or validated and ends with an exit
-code.
+code.  Those of a deformation or a witness document are refused by the
+loader or checked to a report.
 
 A leaf is a scalar of the JSON tree (or an empty list or object).  A
 mutation deletes it, replaces it by one of REPLACEMENTS, or duplicates
@@ -13,6 +14,16 @@ from datetime import timedelta
 from hypothesis import given, settings, strategies as st
 
 from graycohom import cli, schema as sc
+from graycohom.defcomplex import ComplexSelection, total_space
+from graycohom.deformations import (
+    EquivalenceWitness,
+    FirstOrderDeformation,
+    check_equivalence,
+    check_structural,
+    witness_from_vector,
+    zero_deformation,
+)
+from graycohom.twocat import ValidationReport
 
 REPLACEMENTS = (0, 1, 2, 3, -1, 7, "i", "t", "x", None, 0.5, True, [], {})
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_PARSE, cli.EXIT_CAP}
@@ -78,3 +89,36 @@ def test_true_in_place_of_an_integer_exits_2():
             assert code == cli.EXIT_PARSE and "error" in doc, path
             replaced += 1
     assert replaced
+
+
+# a classify --mode tens representative of z2-fiber over F_2 and the last
+# basis witness of its unit complex in degree 1
+FIBER2 = sc.load_structure(sc.dumps(cli.run_export("z2-fiber", "p=2")[1]))
+DATA_DOCS = [
+    cli.run_classify(sc.dumps(sc.gray_to_json(FIBER2)), "tens")[1][
+        "representatives"][0],
+    sc.witness_to_json(witness_from_vector(
+        FIBER2, "unit",
+        total_space(FIBER2, ComplexSelection("unit"), 1).basis[-1])),
+]
+DATA_PATHS = [(doc, path) for doc in DATA_DOCS for path in leaf_paths(doc)]
+
+
+@settings(derandomize=True, max_examples=800,
+          deadline=timedelta(seconds=5))
+@given(leaf=st.integers(0, len(DATA_PATHS) - 1),
+       op=st.sampled_from(("delete", "replace", "duplicate")),
+       value=st.sampled_from(REPLACEMENTS))
+def test_data_mutation_is_refused_or_checked(leaf, op, value):
+    doc, path = DATA_PATHS[leaf]
+    try:
+        data = sc.load_structure(sc.dumps(mutate(doc, path, op, value)))
+    except sc.SchemaError:
+        return
+    if isinstance(data, FirstOrderDeformation):
+        rep = check_structural(FIBER2, data)
+    else:
+        assert isinstance(data, EquivalenceWitness)
+        rep = check_equivalence(FIBER2, zero_deformation(),
+                                zero_deformation(), data)
+    assert isinstance(rep, ValidationReport)

@@ -18,9 +18,9 @@ from graycohom.gray import tensor_power
 from graycohom.pfcomplex import (
     Assembler,
     CapExceeded,
+    PFClassification,
     PFCochain,
     check_unitary_lemma,
-    classify_pf_deformations,
     composable_tuples,
     delta_pf,
     delta_pf_matrix,
@@ -169,7 +169,7 @@ def test_unitary_lemma(g_sign3):
 
 
 def test_classification_bundle(FK):
-    cls = classify_pf_deformations(FK)
+    cls = PFClassification(FK)
     K = FK.cod.field
     coh = pf_cohomology(FK, 2)
     # a non-cocycle is rejected with the violated hexagon instance named
