@@ -113,13 +113,6 @@ class ECell:
     eps: TwoMorphism
 
 
-def _is_zero(t: TwoMorphism) -> bool:
-    """Every coefficient is zero.  Scalars are ints or Fractions, whose
-    zero is falsy; an unreduced residue such as p counts as nonzero, which
-    only costs the product it could have skipped."""
-    return not any(t.coeffs)
-
-
 class _Eps:
     """Composition algebra of eps-pairs over a fixed Gray semigroup.
 
@@ -151,11 +144,12 @@ class _Eps:
 
     def _eps_part(self, op, a: ECell, b: ECell, lead) -> TwoMorphism:
         """op(a.eps, b.lead) + op(a.lead, b.eps) for a bilinear op."""
-        if _is_zero(a.eps):
-            if _is_zero(b.eps):
+        is_zero2 = self.C.is_zero2
+        if is_zero2(a.eps):
+            if is_zero2(b.eps):
                 return self.zero(lead.src, lead.tgt)
             return op(a.lead, b.eps)
-        if _is_zero(b.eps):
+        if is_zero2(b.eps):
             return op(a.eps, b.lead)
         return self.C.add2(op(a.eps, b.lead), op(a.lead, b.eps))
 
@@ -183,7 +177,7 @@ class _Eps:
         l = self._inv.get(a.lead)
         if l is None:
             l = self._inv[a.lead] = C.invert2(a.lead)
-        if _is_zero(a.eps):
+        if C.is_zero2(a.eps):
             return ECell(l, self.zero(l.src, l.tgt))
         return ECell(l, C.neg2(C.vcomp(C.vcomp(l, a.eps), l)))
 
@@ -302,9 +296,11 @@ class _DeformedCells(_DataContext):
 
 def data_shapes(G: GraySemigroup, data) -> ValidationReport:
     """Endpoint/shape check of every stored entry of a deformation or a
-    gauge witness."""
+    gauge witness, and of its coefficients: each must be an element of
+    the field (over F_p an int in 0..p-1)."""
     rep = ValidationReport()
     C = G.base
+    K = C.field
     for fld in fields(data):
         family = fld.name
         ends, what = _ENTRIES[family]
@@ -318,9 +314,14 @@ def data_shapes(G: GraySemigroup, data) -> ValidationReport:
                     val.tgt != tgt:
                 rep.add_structural(f"{family}[{key!r}] has wrong endpoints "
                                    f"(expected {src} => {tgt})")
-            elif len(val.coeffs) != C.dim2(src, tgt):
+                continue
+            if len(val.coeffs) != C.dim2(src, tgt):
                 rep.add_structural(
                     f"{family}[{key!r}] has wrong coefficient length")
+            bad = [c for c in val.coeffs if not K.contains(c)]
+            if bad:
+                rep.add_structural(f"{family}[{key!r}] has coefficient "
+                                   f"{bad[0]!r}, not an element of {K}")
     return rep
 
 
@@ -387,7 +388,7 @@ class _Equations:
         for i, (_name, _key, fn) in enumerate(self.instances):
             reads.clear()
             res = self.residual(fn, ctx)
-            if not _is_zero(res):
+            if not self.C.is_zero2(res):
                 raise AssertionError(
                     "the zero deformation has a nonzero residual")
             offsets.append(row)

@@ -59,6 +59,10 @@ class Field:
     def is_zero(self, a) -> bool:
         return a == self.zero()
 
+    def contains(self, a) -> bool:
+        """a is a scalar of this field in its canonical form."""
+        raise NotImplementedError
+
     def elements(self):
         """Iterate over all field elements (finite fields only)."""
         raise TypeError(f"{self} is not finite")
@@ -96,6 +100,9 @@ class RationalField(Field):
 
     def is_zero(self, a) -> bool:
         return a == 0
+
+    def contains(self, a) -> bool:
+        return type(a) in (int, Fraction)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -146,6 +153,9 @@ class PrimeField(Field):
 
     def is_zero(self, a) -> bool:
         return a == 0
+
+    def contains(self, a) -> bool:
+        return type(a) is int and 0 <= a < self.p
 
     def elements(self):
         return range(self.p)

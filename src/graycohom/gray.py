@@ -34,6 +34,7 @@ from .twocat import (
     TwoCategory,
     TwoMorphism,
     ValidationReport,
+    apply_plan,
     product_many,
     validate_pseudofunctor,
 )
@@ -47,6 +48,9 @@ class GraySemigroup:
       tensor2_const -- (f, f2, g, g2) -> {(i, j): {k: scalar}}
       tensorator    -- (fp, gp, f, g) -> TwoMorphism, for tgt f = src fp,
                        tgt g = src gp
+
+    tensor2 keeps one product plan (see twocat) per endpoint key
+    (f, f2, g, g2), made on first use.
     """
 
     def __init__(self, base: TwoCategory, tensor_obj, tensor1, tensor2_const,
@@ -57,6 +61,7 @@ class GraySemigroup:
         self.tensor2_const = dict(tensor2_const)
         self.tensorator_table = dict(tensorator)
         self.memo = {}
+        self._tensor2_plans = {}
 
     # ----- tensor on objects and 1-cells -------------------------------
 
@@ -83,12 +88,13 @@ class GraySemigroup:
     # ----- tensor on 2-morphisms ---------------------------------------
 
     def tensor2(self, a: TwoMorphism, b: TwoMorphism) -> TwoMorphism:
-        C = self.base
-        src = self.tcell(a.src, b.src)
-        tgt = self.tcell(a.tgt, b.tgt)
-        consts = self.tensor2_const.get((a.src, a.tgt, b.src, b.tgt))
-        return TwoMorphism(src, tgt, C._bilinear(
-            consts, C.dim2(src, tgt), a.coeffs, b.coeffs))
+        key = (a.src, a.tgt, b.src, b.tgt)
+        plan = self._tensor2_plans.get(key)
+        if plan is None:
+            plan = self._tensor2_plans[key] = self.base.plan(
+                self.tcell(a.src, b.src), self.tcell(a.tgt, b.tgt),
+                self.tensor2_const.get(key))
+        return apply_plan(plan, a.coeffs, b.coeffs)
 
     def tensor2_many(self, terms):
         terms = list(terms)

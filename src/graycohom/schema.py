@@ -8,7 +8,8 @@ pair lists and ``dumps`` sorts object keys.
 Identifiers (objects, 1-cells) may be ints, strings, or nested tuples of
 those; they are encoded as tagged lists (["i", n] / ["s", s] /
 ["t", ...]) so round-tripping is exact.  Scalars are JSON ints for
-integral values and "a/b" strings for non-integral rationals.
+integral values and "a/b" strings for non-integral rationals; a scalar of
+a structure over F_p is an int in 0..p-1, and any other is refused.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import fields
 from fractions import Fraction
 
 from .deformations import EquivalenceWitness, FirstOrderDeformation
-from .exactlinalg import GF, QQ, Field
+from .exactlinalg import GF, QQ, Field, PrimeField
 from .gray import GraySemigroup
 from .twocat import TwoCategory, TwoMorphism
 
@@ -77,18 +78,26 @@ def encode_scalar(x):
     raise SchemaError(f"unsupported scalar {x!r}")
 
 
-def decode_scalar(j):
+def decode_scalar(j, field_: Field | None = None):
+    """An int, or a fraction string unless field_ is F_p.  Given a field,
+    the scalar must be one of its elements: over F_p an int in 0..p-1.
+    Deformations and witnesses carry no field; deformations.data_shapes
+    checks their scalars against the structure."""
     if isinstance(j, bool):
         raise SchemaError(f"malformed scalar {j!r}")
     if isinstance(j, int):
-        return j
-    if isinstance(j, str):
+        x = j
+    elif isinstance(j, str) and not isinstance(field_, PrimeField):
         try:
             q = Fraction(j)
         except (ValueError, ZeroDivisionError) as e:
             raise SchemaError(f"malformed scalar {j!r}") from e
-        return q.numerator if q.denominator == 1 else q
-    raise SchemaError(f"malformed scalar {j!r}")
+        x = q.numerator if q.denominator == 1 else q
+    else:
+        raise SchemaError(f"malformed scalar {j!r}")
+    if field_ is not None and not field_.contains(x):
+        raise SchemaError(f"scalar {j!r} is not an element of {field_}")
+    return x
 
 
 def encode_field(K: Field):
@@ -134,7 +143,7 @@ def _enc_consts(consts: dict):
         lambda vec: _sorted_pairs(vec, lambda k: k, encode_scalar))
 
 
-def _dec_consts(j):
+def _dec_consts(j, field_: Field):
     def dec_ij(k):
         if not (isinstance(k, list) and len(k) == 2
                 and all(_is_int(x) for x in k)):
@@ -146,7 +155,7 @@ def _dec_consts(j):
             if not _is_int(k):
                 raise SchemaError(f"malformed basis index {k!r}")
             return k
-        return _decode_pairs(v, dec_k, decode_scalar)
+        return _decode_pairs(v, dec_k, lambda c: decode_scalar(c, field_))
 
     return _decode_pairs(j, dec_ij, dec_vec)
 
@@ -156,12 +165,12 @@ def encode_two_morphism(t: TwoMorphism):
             "coeffs": [encode_scalar(c) for c in t.coeffs]}
 
 
-def decode_two_morphism(j) -> TwoMorphism:
+def decode_two_morphism(j, field_: Field | None = None) -> TwoMorphism:
     if not (isinstance(j, dict) and "src" in j and "tgt" in j
             and isinstance(j.get("coeffs"), list)):
         raise SchemaError(f"malformed 2-morphism {j!r}")
     return TwoMorphism(decode_id(j["src"]), decode_id(j["tgt"]),
-                       tuple(decode_scalar(c) for c in j["coeffs"]))
+                       tuple(decode_scalar(c, field_) for c in j["coeffs"]))
 
 
 # ----- 2-category -------------------------------------------------------
@@ -321,13 +330,13 @@ def _two_category_from_body(doc) -> TwoCategory:
                                  lambda k: _dec_id_tuple(k, 2), dec_dim)
         id2_coeffs = _decode_pairs(
             doc["id2Coeffs"], decode_id,
-            lambda cs: tuple(decode_scalar(c) for c in cs))
+            lambda cs: tuple(decode_scalar(c, field_) for c in cs))
         vcomp_const = _decode_pairs(doc["vcompConst"],
                                     lambda k: _dec_id_tuple(k, 3),
-                                    _dec_consts)
+                                    lambda c: _dec_consts(c, field_))
         hcomp_const = _decode_pairs(doc["hcompConst"],
                                     lambda k: _dec_id_tuple(k, 4),
-                                    _dec_consts)
+                                    lambda c: _dec_consts(c, field_))
     except KeyError as e:
         raise SchemaError(f"missing key {e}") from e
     _check_references(objects, one_cells, cell_src, cell_tgt, identity_cell,
@@ -374,10 +383,10 @@ def gray_from_json(doc) -> GraySemigroup:
                                 lambda k: _dec_id_tuple(k, 2), decode_id)
         tensor2_const = _decode_pairs(doc["tensor2Const"],
                                       lambda k: _dec_id_tuple(k, 4),
-                                      _dec_consts)
-        tensorator = _decode_pairs(doc["tensorator"],
-                                   lambda k: _dec_id_tuple(k, 4),
-                                   decode_two_morphism)
+                                      lambda c: _dec_consts(c, base.field))
+        tensorator = _decode_pairs(
+            doc["tensorator"], lambda k: _dec_id_tuple(k, 4),
+            lambda t: decode_two_morphism(t, base.field))
     except KeyError as e:
         raise SchemaError(f"missing key {e}") from e
     _check_known("tensorObjects", tensor_obj, set(base.objects))

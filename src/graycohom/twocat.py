@@ -5,6 +5,16 @@ strictly associative composition table, and finite-dimensional 2-morphism
 spaces given by a basis and structure constants for vertical and horizontal
 composition.  Pseudofunctors are layered on top as table-backed structures
 with a validator that returns complete witness lists.
+
+Every product of 2-cells (vcomp, hcomp here, tensor2 in gray) runs
+through a plan: a tuple (src, tgt, dim, consts, p) holding the output
+endpoints, the output dimension, a reference to the product's structure
+constants at its endpoint key and the field's modulus (None over Q).  A
+plan is made, with the endpoint checks, the first time its key is used,
+and kept for the life of the structure; every later product at that key
+is one dict lookup and apply_plan.  The coefficient arithmetic is native
+``*`` and ``+`` on ints and Fractions, and over F_p each output
+coefficient is reduced once, as in SparseMatrix.mul_vectors.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .exactlinalg import Field, Vector, from_columns, solve_in_image
+from .exactlinalg import Field, Vector, _modulus, from_columns, solve_in_image
 
 
 @dataclass
@@ -59,6 +69,11 @@ class TwoCategory:
       id2_coeffs         -- f -> coefficients of 1_f in Hom2(f, f)
       vcomp_const        -- (f, f1, f2) -> {(j, i): {k: scalar}}
       hcomp_const        -- (g, g2, f, f2) -> {(j, i): {k: scalar}}
+
+    vcomp and hcomp keep one plan (see the module docstring) per endpoint
+    key, (f, f1, f2) and (g, g2, f, f2) as in the tables, made on first
+    use with the endpoint checks.  add2, neg2, scale2 and eq2 use the
+    same native arithmetic, reduced once per coefficient over F_p.
     """
 
     def __init__(self, field_: Field, objects, one_cells, cell_src, cell_tgt,
@@ -75,8 +90,11 @@ class TwoCategory:
         self.id2_coeffs = dict(id2_coeffs)
         self.vcomp_const = dict(vcomp_const)
         self.hcomp_const = dict(hcomp_const)
+        self._p = _modulus(field_)
         self._id2_cache = {}
         self._parallel_cache = {}
+        self._vcomp_plans = {}
+        self._hcomp_plans = {}
 
     # ----- basic accessors ---------------------------------------------
 
@@ -131,50 +149,57 @@ class TwoCategory:
     def add2(self, a: TwoMorphism, b: TwoMorphism) -> TwoMorphism:
         if (a.src, a.tgt) != (b.src, b.tgt):
             raise ValueError("2-morphism endpoint mismatch in addition")
-        K = self.field
-        return TwoMorphism(a.src, a.tgt,
-                           tuple(K.add(x, y) for x, y in zip(a.coeffs, b.coeffs)))
+        p, pairs = self._p, zip(a.coeffs, b.coeffs)
+        if p is None:
+            coeffs = tuple(x + y for x, y in pairs)
+        else:
+            coeffs = tuple((x + y) % p for x, y in pairs)
+        return TwoMorphism(a.src, a.tgt, coeffs)
 
     def scale2(self, c, a: TwoMorphism) -> TwoMorphism:
-        K = self.field
-        return TwoMorphism(a.src, a.tgt, tuple(K.mul(c, x) for x in a.coeffs))
+        p = self._p
+        if p is None:
+            coeffs = tuple(c * x for x in a.coeffs)
+        else:
+            coeffs = tuple(c * x % p for x in a.coeffs)
+        return TwoMorphism(a.src, a.tgt, coeffs)
 
     def neg2(self, a: TwoMorphism) -> TwoMorphism:
-        K = self.field
-        return TwoMorphism(a.src, a.tgt, tuple(K.neg(x) for x in a.coeffs))
+        p = self._p
+        if p is None:
+            coeffs = tuple(-x for x in a.coeffs)
+        else:
+            coeffs = tuple(-x % p for x in a.coeffs)
+        return TwoMorphism(a.src, a.tgt, coeffs)
 
     def eq2(self, a: TwoMorphism, b: TwoMorphism) -> bool:
-        K = self.field
-        return (a.src, a.tgt) == (b.src, b.tgt) and all(
-            K.is_zero(K.sub(x, y)) for x, y in zip(a.coeffs, b.coeffs))
+        if (a.src, a.tgt) != (b.src, b.tgt):
+            return False
+        p, pairs = self._p, zip(a.coeffs, b.coeffs)
+        if p is None:
+            return all(x == y for x, y in pairs)
+        return all((x - y) % p == 0 for x, y in pairs)
 
     def is_zero2(self, a: TwoMorphism) -> bool:
-        K = self.field
-        return all(K.is_zero(x) for x in a.coeffs)
+        """Every coefficient is zero.  Scalars are ints or Fractions, whose
+        zero is falsy; an unreduced residue such as p counts as nonzero."""
+        return not any(a.coeffs)
 
-    def _bilinear(self, consts, dim_out, a_coeffs, b_coeffs):
-        K = self.field
-        out = [K.zero()] * dim_out
-        if consts:
-            is_zero, mul, add = K.is_zero, K.mul, K.add
-            for (j, i), vec in consts.items():
-                cj = a_coeffs[j]
-                ci = b_coeffs[i]
-                if is_zero(cj) or is_zero(ci):
-                    continue
-                c = mul(cj, ci)
-                for k, v in vec.items():
-                    out[k] = add(out[k], mul(c, v))
-        return tuple(out)
+    def plan(self, src, tgt, consts) -> tuple:
+        """The plan of a product into Hom2(src, tgt) with the structure
+        constants consts (None when there are none)."""
+        return (src, tgt, self.dim2(src, tgt), consts, self._p)
 
     def vcomp(self, t2: TwoMorphism, t1: TwoMorphism) -> TwoMorphism:
         """Vertical composite t2 . t1 for t1: f => f1, t2: f1 => f2."""
         if t1.tgt != t2.src:
             raise ValueError(f"vertical composition mismatch: {t1.tgt} vs {t2.src}")
-        f, f1, f2 = t1.src, t1.tgt, t2.tgt
-        consts = self.vcomp_const.get((f, f1, f2))
-        coeffs = self._bilinear(consts, self.dim2(f, f2), t2.coeffs, t1.coeffs)
-        return TwoMorphism(f, f2, coeffs)
+        key = (t1.src, t1.tgt, t2.tgt)
+        plan = self._vcomp_plans.get(key)
+        if plan is None:
+            plan = self._vcomp_plans[key] = self.plan(
+                key[0], key[2], self.vcomp_const.get(key))
+        return apply_plan(plan, t2.coeffs, t1.coeffs)
 
     def vcomp_many(self, terms):
         """Vertical composite t_n . ... . t_1 from a list [t_n, ..., t_1]."""
@@ -186,14 +211,16 @@ class TwoCategory:
 
     def hcomp(self, tg: TwoMorphism, tf: TwoMorphism) -> TwoMorphism:
         """Horizontal composite tg o tf (tg on the left of the diagram)."""
-        if self.cell_tgt[tf.src] != self.cell_src[tg.src]:
-            raise ValueError("horizontal composition mismatch")
-        g, g2, f, f2 = tg.src, tg.tgt, tf.src, tf.tgt
-        consts = self.hcomp_const.get((g, g2, f, f2))
-        gf = self.compose(g, f)
-        g2f2 = self.compose(g2, f2)
-        coeffs = self._bilinear(consts, self.dim2(gf, g2f2), tg.coeffs, tf.coeffs)
-        return TwoMorphism(gf, g2f2, coeffs)
+        key = (tg.src, tg.tgt, tf.src, tf.tgt)
+        plan = self._hcomp_plans.get(key)
+        if plan is None:
+            g, g2, f, f2 = key
+            if self.cell_tgt[f] != self.cell_src[g]:
+                raise ValueError("horizontal composition mismatch")
+            plan = self._hcomp_plans[key] = self.plan(
+                self.compose(g, f), self.compose(g2, f2),
+                self.hcomp_const.get(key))
+        return apply_plan(plan, tg.coeffs, tf.coeffs)
 
     def hcomp_many(self, terms):
         """Horizontal composite t_0 o t_1 o ... o t_k (diagram order)."""
@@ -225,6 +252,24 @@ class TwoCategory:
             raise ValueError(f"2-morphism is not invertible: {t}")
         coeffs = tuple(sol.entries.get(i, K.zero()) for i in range(d_gf))
         return TwoMorphism(g, f, coeffs)
+
+
+def apply_plan(plan, a, b) -> TwoMorphism:
+    """The product of a plan (src, tgt, dim, consts, p) at the coefficient
+    tuples a and b: the sum over (j, i) in consts of a[j] * b[i] * consts[(j,
+    i)], in the table's order, leaving out a pair whose coefficient product
+    is zero; over F_p (p not None) each output coefficient is reduced once."""
+    src, tgt, dim, consts, p = plan
+    out = [0] * dim
+    if consts:
+        for (j, i), vec in consts.items():
+            c = a[j] * b[i]
+            if c:
+                for k, v in vec.items():
+                    out[k] += c * v
+        if p is not None:
+            out = [x % p for x in out]
+    return TwoMorphism(src, tgt, tuple(out))
 
 
 # ----- validators -------------------------------------------------------
@@ -413,8 +458,11 @@ class ProductCategory(TwoCategory):
         self.identity_cell = {
             X: A.identity_cell[X[:-1]] + (B.identity_cell[X[-1]],)
             for X in self.objects}
+        self._p = A._p
         self._id2_cache = {}
         self._parallel_cache = {}
+        self._vcomp_plans = {}
+        self._hcomp_plans = {}
 
     @cached_property
     def compose1(self):

@@ -22,6 +22,9 @@ Two more models have fibers of dimension > 1:
               by identity 1-cells (Model B).  Its 2-cells run between
               distinct 1-cells and its endomorphism algebras are not
               commutative, so its naturality systems have rows.
+
+make_model_a(n, K) builds Model A for any n and field; make_model_b()
+builds Model B.
 """
 
 import pytest
@@ -67,8 +70,12 @@ def g_sign3():
 
 @pytest.fixture(scope="session")
 def model_a2():
-    n = 2
-    M = group_algebra_monoidal(n, GF(2))
+    return make_model_a(2, GF(2))
+
+
+def make_model_a(n, field_):
+    """Model A: the monoid K[Z/n] delooped, with identity tensorators."""
+    M = group_algebra_monoidal(n, field_)
     C = deloop(M)
     cells = M.objects
     tensorator = {(fp, gp, f, g): C.id2((fp + gp + f + g) % n)
@@ -80,6 +87,10 @@ def model_a2():
 
 @pytest.fixture(scope="session")
 def model_b():
+    return make_model_b()
+
+
+def make_model_b():
     K = GF(5)
     one, zero = K.one(), K.zero()
     par = ("f", "g")

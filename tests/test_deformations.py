@@ -6,6 +6,7 @@ import collections
 import itertools
 import random
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 
@@ -239,9 +240,9 @@ KEY_SHAPES = {
 
 def test_shape_checks_report_bad_entries(g_sign3):
     """For every family of deformation and witness data, a zero entry at a
-    good key passes, and a malformed key, a value with the wrong endpoints
-    and one with the wrong coefficient count each give the family's own
-    message."""
+    good key passes, and a malformed key, a value with the wrong endpoints,
+    one with the wrong coefficient count and one with a coefficient outside
+    F_3 (a fraction, p + 1, -1) each give the family's own message."""
     G = g_sign3
     C = G.base
     idc = C.identity_cell
@@ -281,6 +282,11 @@ def test_shape_checks_report_bad_entries(g_sign3):
                 f"(expected {src} => {tgt})"]
             assert errors({key: TwoMorphism(src, tgt, zero.coeffs + (0,))}) \
                 == [f"{family}[{key!r}] has wrong coefficient length"]
+            for c in (Fraction(1, 2), 4, -1):
+                coeffs = (c,) + zero.coeffs[1:]
+                assert errors({key: TwoMorphism(src, tgt, coeffs)}) == [
+                    f"{family}[{key!r}] has coefficient {c!r}, not an "
+                    f"element of GF(3)"]
             seen.append(family)
     assert sorted(seen) == sorted(KEY_SHAPES)
 

@@ -2,12 +2,21 @@
 and pseudofunctors, exercised on a delooped group-algebra category whose
 hom spaces are genuinely multi-dimensional."""
 
+import functools
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from graycohom.exactlinalg import GF
-from graycohom.examples import deloop, group_algebra_monoidal
+from conftest import make_model, make_model_a, make_model_b
+from graycohom.exactlinalg import GF, QQ
+from graycohom.examples import (
+    cyclic_group,
+    deloop,
+    group_algebra_monoidal,
+    sign_bicharacter,
+)
 from graycohom.twocat import (
     TwoMorphism,
     identity_pseudofunctor,
@@ -187,3 +196,112 @@ def test_validator_reports_broken_interchange(C):
     rep = validate_two_category(D)
     assert not rep.ok
     assert rep.violations
+
+
+FIELDS = [QQ, GF(2), GF(5), GF(97)]
+
+
+@functools.cache
+def _plan_cases():
+    """(name, 2-category, Gray semigroup or None): Model B, the delooped
+    K[Z/3] over every field of FIELDS, Model A (n = 2) over F_2, F_3 and
+    Q, and z2-sign over F_3 and Q."""
+    cases = [("model-b", make_model_b(), None)]
+    cases += [(f"group-algebra-{K!r}", deloop(group_algebra_monoidal(3, K)),
+               None) for K in FIELDS]
+    for K in (GF(2), GF(3), QQ):
+        G = make_model_a(2, K)
+        cases.append((f"model-a-{K!r}", G.base, G))
+    for K in (GF(3), QQ):
+        G = make_model(cyclic_group(2), cyclic_group(2), sign_bicharacter, K)
+        cases.append((f"z2-sign-{K!r}", G.base, G))
+    return cases
+
+
+def _coeffs(K, d):
+    """Coefficient tuples of length d, the zero tuple among them."""
+    if K == QQ:
+        x = st.fractions(-5, 5, max_denominator=4).map(
+            lambda q: q.numerator if q.denominator == 1 else q)
+    else:
+        x = st.integers(0, K.p - 1)
+    return st.one_of(st.just((0,) * d), st.tuples(*[x] * d))
+
+
+def _schoolbook(K, consts, dim, a, b):
+    """sum over (j, i) of a[j] b[i] consts[(j, i)], in exact rationals and
+    reduced at the end over F_p."""
+    out = [Fraction(0)] * dim
+    for (j, i), vec in (consts or {}).items():
+        for k, v in vec.items():
+            out[k] += Fraction(a[j]) * Fraction(b[i]) * Fraction(v)
+    if K != QQ:
+        return tuple(int(x) % K.p for x in out)
+    return tuple(out)
+
+
+def _same(K, got, want):
+    """Equal values; over F_p also ints in 0..p-1."""
+    assert got == want
+    assert K == QQ or all(K.contains(x) for x in got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_products_equal_the_structure_constant_sum(data):
+    """vcomp, hcomp and tensor2 through their plans equal the sum over
+    the structure constants at their endpoint key, whether or not the
+    plan exists yet.  Model B's vertical product is the 2 x 2 matrix
+    product, so a swapped factor order fails here."""
+    name, C, G = data.draw(st.sampled_from(_plan_cases()), label="case")
+    K = C.field
+    cells = list(C.cell_src)
+
+    def cell2(f, f2):
+        return TwoMorphism(f, f2, data.draw(_coeffs(K, C.dim2(f, f2))))
+
+    f = data.draw(st.sampled_from(cells))
+    f1 = data.draw(st.sampled_from(C.parallel_targets(f)))
+    f2 = data.draw(st.sampled_from(C.parallel_targets(f1)))
+    t1, t2 = cell2(f, f1), cell2(f1, f2)
+    got = C.vcomp(t2, t1)
+    assert (got.src, got.tgt) == (f, f2)
+    _same(K, got.coeffs, _schoolbook(K, C.vcomp_const.get((f, f1, f2)),
+                                     C.dim2(f, f2), t2.coeffs, t1.coeffs))
+
+    g, f = data.draw(st.sampled_from(list(C.compose1)))
+    g2 = data.draw(st.sampled_from(C.parallel_targets(g)))
+    f2 = data.draw(st.sampled_from(C.parallel_targets(f)))
+    tg, tf = cell2(g, g2), cell2(f, f2)
+    got = C.hcomp(tg, tf)
+    gf, g2f2 = C.compose1[(g, f)], C.compose1[(g2, f2)]
+    assert (got.src, got.tgt) == (gf, g2f2)
+    _same(K, got.coeffs, _schoolbook(K, C.hcomp_const.get((g, g2, f, f2)),
+                                     C.dim2(gf, g2f2), tg.coeffs, tf.coeffs))
+
+    if G is None:
+        return
+    pairs = list(C.hom2_dim)
+    f, f2 = data.draw(st.sampled_from(pairs))
+    g, g2 = data.draw(st.sampled_from(pairs))
+    a, b = cell2(f, f2), cell2(g, g2)
+    got = G.tensor2(a, b)
+    fg, f2g2 = G.tcell(f, g), G.tcell(f2, g2)
+    assert (got.src, got.tgt) == (fg, f2g2)
+    _same(K, got.coeffs, _schoolbook(K, G.tensor2_const.get((f, f2, g, g2)),
+                                     C.dim2(fg, f2g2), a.coeffs, b.coeffs))
+
+
+def test_mismatched_products_raise_when_the_plan_exists(model_b):
+    """A vcomp whose key has a plan still compares t1.tgt with t2.src,
+    and a horizontal mismatch raises every time."""
+    C = model_b
+    fg, gg = C.basis2("f", "g", 1), C.basis2("g", "g", 2)
+    C.vcomp(gg, fg)
+    for _ in range(2):
+        with pytest.raises(ValueError,
+                           match="vertical composition mismatch: g vs f"):
+            C.vcomp(fg, fg)
+        with pytest.raises(ValueError,
+                           match="^horizontal composition mismatch$"):
+            C.hcomp(fg, fg)
