@@ -15,6 +15,14 @@ The building blocks are
 From these the module assembles the total complexes (tens_ass, ass, tens,
 pent_restricted, pent_general, unit) as explicit sparse matrices and
 computes their cohomology.
+
+Every selection uses the same four differentials with the signs of the
+unit complex, stated once in _leaving: delta_h carries the sign (-1)^n
+out of X^{m,n}, delta_v and phi carry +1 and delta_pent carries -1.  A
+selection's total differential is every one of them that runs between two
+of its summands.  A selection also names the differential it imposes as a
+condition on its summands (_CONDITIONS): ass imposes delta_h, tens
+imposes delta_v and pent_restricted imposes phi; the others impose none.
 """
 
 from __future__ import annotations
@@ -235,9 +243,14 @@ class PentSpace(Layout):
 
     G: GraySemigroup
     degree: int
-    tuples: list
-    constraints: SparseMatrix | None = None
-    basis: list | None = None
+
+    @cached_property
+    def constraints(self) -> SparseMatrix:
+        return SparseMatrix(0, self.dim_free, self.G.base.field)
+
+    @cached_property
+    def basis(self) -> list:
+        return kernel_basis(self.constraints)
 
 
 def _object_tuples(G: GraySemigroup, k: int):
@@ -249,13 +262,10 @@ def _object_tuples(G: GraySemigroup, k: int):
 @per_structure
 def pent_space(G: GraySemigroup, degree: int) -> PentSpace:
     C = G.base
-    space = PentSpace(G, degree,
-                      _object_tuples(G, degree + 1) if degree >= 0 else [])
-    for T in space.tuples:
+    space = PentSpace(G, degree)
+    for T in _object_tuples(G, degree + 1) if degree >= 0 else []:
         e = C.identity_cell[G.tobj_many(T)]
         place(space, T, e, e, C.dim2(e, e))
-    space.constraints = SparseMatrix(0, space.dim_free, C.field)
-    space.basis = kernel_basis(space.constraints)
     return space
 
 
@@ -419,25 +429,41 @@ class TotalSpace:
                     yield desc, t, tm
 
 
-# the condition a selection adds to each of its summands' own constraints
-_SELECTION_CONDITIONS = {"ass": delta_h_matrix, "tens": delta_v_matrix,
-                         "pent_restricted": phi_matrix}
+def _leaving(G: GraySemigroup, desc) -> dict:
+    """Every differential out of the summand desc, by name: its target
+    summand, its sign and a function that builds its matrix.  The signs
+    are those of the unit complex, and every selection uses them."""
+    if desc[0] == "bi":
+        _, m, n = desc
+        return {"delta_h": (("bi", m + 1, n), (-1) ** n,
+                            lambda: delta_h_matrix(G, m, n)),
+                "delta_v": (("bi", m, n + 1), 1,
+                            lambda: delta_v_matrix(G, m, n))}
+    _, d = desc
+    return {"phi": (("bi", 0, d), 1, lambda: phi_matrix(G, d)),
+            "delta_pent": (("pent", d + 1), -1,
+                           lambda: delta_pent_matrix(G, d))}
+
+
+# the differential a selection imposes as a condition on its summands
+_CONDITIONS = {"ass": "delta_h", "tens": "delta_v", "pent_restricted": "phi"}
 
 
 def _summand_constraints(G: GraySemigroup, kind: str, desc) -> SparseMatrix:
     """Constraint matrix of one summand under selection kind."""
     cons = summand_space(G, desc).constraints
-    condition = _SELECTION_CONDITIONS.get(kind)
+    condition = _CONDITIONS.get(kind)
     if condition is None:
         return cons
-    return vstack(cons, condition(G, *desc[1:]))
+    _, _, build = _leaving(G, desc)[condition]
+    return vstack(cons, build())
 
 
 @per_structure
 def _summand_kernel(G: GraySemigroup, kind: str, desc):
     """Kernel basis of one summand's constraints under selection kind;
     where kind adds no condition it is the summand space's own basis."""
-    if kind in _SELECTION_CONDITIONS:
+    if kind in _CONDITIONS:
         return kernel_basis(_summand_constraints(G, kind, desc))
     return summand_space(G, desc).basis
 
@@ -453,58 +479,27 @@ def total_space(G: GraySemigroup, sel: ComplexSelection, q: int) -> TotalSpace:
     return TotalSpace(G, sel.kind, q, summands, offsets, dim)
 
 
-def _blocks(G: GraySemigroup, kind: str, q: int):
-    """(src_desc, tgt_desc, matrix, scalar) blocks of the differential
-    from total degree q to q + 1."""
-    K = G.base.field
-    one = K.one()
-    minus = K.neg(one)
-    blocks = []
-    for desc in _summands(kind, q):
-        if desc[0] == "bi":
-            _, m, n = desc
-            if kind in ("tens_ass", "unit"):
-                sign_h = one if n % 2 == 0 else minus
-                blocks.append((desc, ("bi", m + 1, n),
-                               delta_h_matrix(G, m, n), sign_h))
-                blocks.append((desc, ("bi", m, n + 1),
-                               delta_v_matrix(G, m, n), one))
-            elif kind == "ass":
-                blocks.append((desc, ("bi", m, n + 1),
-                               delta_v_matrix(G, m, n), one))
-            elif kind == "tens":
-                blocks.append((desc, ("bi", m + 1, n),
-                               delta_h_matrix(G, m, n), one))
-        else:
-            _, d = desc
-            if kind == "unit":
-                blocks.append((desc, ("bi", 0, d), phi_matrix(G, d), one))
-                blocks.append((desc, ("pent", d + 1),
-                               delta_pent_matrix(G, d), minus))
-            else:
-                blocks.append((desc, ("pent", d + 1),
-                               delta_pent_matrix(G, d), one))
-    return blocks
-
-
 @per_structure
 def total_differential(G: GraySemigroup, sel: ComplexSelection,
                        q: int) -> SparseMatrix:
-    """The differential from total degree q to q + 1: each block of
-    _blocks is one Assembler term, at the offsets of its two summands."""
+    """The differential from total degree q to q + 1: every differential
+    of _leaving from a degree-q summand to a degree-(q + 1) summand, times
+    its sign, is one Assembler term at the offsets of its two summands."""
     K = G.base.field
     src = total_space(G, sel, q)
     tgt = total_space(G, sel, q + 1)
-    src_off = {desc: off for desc, off in zip(src.summands, src.offsets)}
-    tgt_off = {desc: off for desc, off in zip(tgt.summands, tgt.offsets)}
-    blocks = {(sdesc, tdesc): (block, scalar)
-              for sdesc, tdesc, block, scalar in _blocks(G, sel.kind, q)
+    src_off = dict(zip(src.summands, src.offsets))
+    tgt_off = dict(zip(tgt.summands, tgt.offsets))
+    blocks = {(sdesc, tdesc): (sign, build)
+              for sdesc in src.summands
+              for tdesc, sign, build in _leaving(G, sdesc).values()
               if tdesc in tgt_off}
 
     def make(key):
-        block, scalar = blocks[key]
-        return [(i, j, K.mul(scalar, v))
-                for i, row in enumerate(block.by_row) for j, v in row.items()]
+        sign, build = blocks[key]
+        s = K.from_int(sign)
+        return [(i, j, K.mul(s, v)) for i, row in enumerate(build().by_row)
+                for j, v in row.items()]
 
     asm = Assembler(tgt.dim_free, src.dim_free, K, make)
     for sdesc, tdesc in blocks:

@@ -1288,15 +1288,14 @@ class ExtendedStructure:
         self._cells = _DeformedCells(G, deformation)
 
     def reduce(self) -> GraySemigroup:
-        """Set eps = 0; validate() confirms the lead components coincide
-        with the undeformed tables."""
+        """Set eps = 0.  The lead components of the deformed cells are
+        read from the undeformed tables, so this is G itself."""
         return self.G
 
     def validate(self) -> ValidationReport:
-        """Full check of the extension: reduction mod eps, invertibility
-        of every structural cell over the extension ring, and the eight
-        structural equations with both components compared (nothing is
-        linearized here)."""
+        """Full check of the extension: invertibility of every structural
+        cell over the extension ring, and the eight structural equations
+        with both components compared (nothing is linearized here)."""
         rep = ValidationReport()
         G, C, E = self.G, self.G.base, self._E
         dc = self._cells
@@ -1312,28 +1311,12 @@ class ExtendedStructure:
         comp = _structural_system(G)._composable(cells)
         for (fp, f) in comp:
             for (gp, g) in comp:
-                t = dc.tens((fp, gp), (f, g))
-                if not C.eq2(t.lead, G.tensorator(fp, gp, f, g)):
-                    rep.add_structural(
-                        f"tensorator at {((fp, gp), (f, g))!r} does not "
-                        f"reduce to the undeformed table")
-                check_invertible("tensorator", ((fp, gp), (f, g)), t)
+                check_invertible("tensorator", ((fp, gp), (f, g)),
+                                 dc.tens((fp, gp), (f, g)))
         for (f, g, h) in itertools.product(cells, repeat=3):
-            a = dc.ass3(f, g, h)
-            if not C.eq2(a.lead, C.id2(a.lead.src)):
-                rep.add_structural(
-                    f"associator at {(f, g, h)!r} does not reduce to the "
-                    f"identity")
-            check_invertible("associator", (f, g, h), a)
+            check_invertible("associator", (f, g, h), dc.ass3(f, g, h))
         for T4 in itertools.product(objs, repeat=4):
-            pcell = dc.pent4(T4)
-            if not C.eq2(pcell.lead, C.id2(pcell.lead.src)):
-                rep.add_structural(
-                    f"pentagonator at {T4!r} does not reduce to the "
-                    f"identity")
-            check_invertible("pentagonator", T4, pcell)
-        if rep.structural_errors:
-            return rep
+            check_invertible("pentagonator", T4, dc.pent4(T4))
 
         for name, key, fn in _structural_system(G).instances:
             lhs, rhs = fn(dc)

@@ -77,7 +77,6 @@ class CochainSpace(Layout):
 
     F: Pseudofunctor
     degree: int
-    tuples: list
 
     @property
     def dimension(self):
@@ -196,10 +195,9 @@ def pf_cochain_basis(F: Pseudofunctor, n: int,
     if n > cap:
         raise CapExceeded(f"degree {n} exceeds cap {cap}")
     C, D = F.dom, F.cod
-    tuples = composable_tuples(C, n) if n >= 1 else []
-    space = CochainSpace(F, n, tuples)
+    space = CochainSpace(F, n)
     suffixes: dict = {}
-    for t in tuples:
+    for t in composable_tuples(C, n) if n >= 1 else []:
         src, comp = _composites(F, t, suffixes)
         tgt = F.cell_map[comp]
         place(space, t, src, tgt, D.dim2(src, tgt))
@@ -517,7 +515,7 @@ class PFClassification:
         if not residue.is_zero():
             raise ValueError("not a cocycle: naturality violated")
         fhat1 = {}
-        for t in self.space2.tuples:
+        for t in self.space2.slots:
             fhat1[(t[0], t[1])] = self.space2.value(cocycle, t)
         C = self.F.dom
         f01 = {X: fhat1[(C.identity_cell[X], C.identity_cell[X])]

@@ -14,7 +14,9 @@ plan is made, with the endpoint checks, the first time its key is used,
 and kept for the life of the structure; every later product at that key
 is one dict lookup and apply_plan.  The coefficient arithmetic is native
 ``*`` and ``+`` on ints and Fractions, and over F_p each output
-coefficient is reduced once, as in SparseMatrix.mul_vectors.
+coefficient is reduced once, as in SparseMatrix.mul_vectors.  The
+product tables of ProductCategory (_kron) and Pseudofunctor.map2 use the
+same arithmetic.
 """
 
 from __future__ import annotations
@@ -402,19 +404,20 @@ def validate_two_category(C: TwoCategory) -> ValidationReport:
 # ----- cartesian products ----------------------------------------------
 
 
-def _kron(K, u, v, dim_v):
+def _kron(p, u, v, dim_v):
     """Kronecker product of sparse vectors {index: scalar}: the index pair
-    (a, b) becomes a * dim_v + b.  Zero products are left out."""
+    (a, b) becomes a * dim_v + b.  Zero products are left out; over F_p
+    (p not None) each product is reduced once."""
     out = {}
     for a, x in u.items():
         for b, y in v.items():
-            c = K.mul(x, y)
-            if not K.is_zero(c):
+            c = x * y if p is None else x * y % p
+            if c:
                 out[a * dim_v + b] = c
     return out
 
 
-def _kron_table(K, ta, tb, dims_b):
+def _kron_table(p, ta, tb, dims_b):
     """Structure constants {(j, i): {k: scalar}} of a product composition
     from those of its two factors; dims_b are the second factor's Hom2
     dimensions of the left input, the right input and the output."""
@@ -422,7 +425,7 @@ def _kron_table(K, ta, tb, dims_b):
     table = {}
     for (ja, ia), u in ta.items():
         for (jb, ib), v in tb.items():
-            vec = _kron(K, u, v, dk)
+            vec = _kron(p, u, v, dk)
             if vec:
                 table[(ja * dj + jb, ia * di + ib)] = vec
     return dict(sorted(table.items()))
@@ -494,17 +497,16 @@ class ProductCategory(TwoCategory):
     @cached_property
     def id2_coeffs(self):
         A, B = self.factors
-        K = self.field
 
         def sparse(coeffs):
-            return {k: v for k, v in enumerate(coeffs) if not K.is_zero(v)}
+            return {k: v for k, v in enumerate(coeffs) if v}
 
         id2_coeffs = {}
         for f in self.cell_src:
             a, b = f[:-1], f[-1]
-            vec = _kron(K, sparse(A.id2_coeffs[a]), sparse(B.id2_coeffs[b]),
-                        B.dim2(b, b))
-            id2_coeffs[f] = tuple(vec.get(k, K.zero())
+            vec = _kron(self._p, sparse(A.id2_coeffs[a]),
+                        sparse(B.id2_coeffs[b]), B.dim2(b, b))
+            id2_coeffs[f] = tuple(vec.get(k, 0)
                                   for k in range(self.dim2(f, f)))
         return id2_coeffs
 
@@ -518,7 +520,7 @@ class ProductCategory(TwoCategory):
                     ta = A.vcomp_const.get((f[:-1], f1[:-1], f2[:-1]))
                     tb = B.vcomp_const.get((f[-1], f1[-1], f2[-1]))
                     if ta and tb:
-                        table = _kron_table(self.field, ta, tb, (
+                        table = _kron_table(self._p, ta, tb, (
                             B.dim2(f1[-1], f2[-1]), B.dim2(f[-1], f1[-1]),
                             B.dim2(f[-1], f2[-1])))
                         if table:
@@ -537,7 +539,7 @@ class ProductCategory(TwoCategory):
                     tb = B.hcomp_const.get((g[-1], g2[-1], f[-1], f2[-1]))
                     if ta and tb:
                         g2f2 = compose1[(g2, f2)]
-                        table = _kron_table(self.field, ta, tb, (
+                        table = _kron_table(self._p, ta, tb, (
                             B.dim2(g[-1], g2[-1]), B.dim2(f[-1], f2[-1]),
                             B.dim2(gf[-1], g2f2[-1])))
                         if table:
@@ -593,15 +595,18 @@ class Pseudofunctor:
         self.f0 = dict(f0)
 
     def map2(self, t: TwoMorphism) -> TwoMorphism:
-        K = self.cod.field
+        """F on a 2-morphism, in the native arithmetic of apply_plan."""
+        p = self.cod._p
         Ff, Ff2 = self.cell_map[t.src], self.cell_map[t.tgt]
-        out = [K.zero()] * self.cod.dim2(Ff, Ff2)
+        out = [0] * self.cod.dim2(Ff, Ff2)
         cols = self.two_map[(t.src, t.tgt)]
         for i, c in enumerate(t.coeffs):
-            if K.is_zero(c):
+            if not c:
                 continue
             for k, v in cols[i].items():
-                out[k] = K.add(out[k], K.mul(c, v))
+                out[k] += c * v
+        if p is not None:
+            out = [x % p for x in out]
         return TwoMorphism(Ff, Ff2, tuple(out))
 
     @property

@@ -119,26 +119,16 @@ def test_gauge_shift_equals_total_differential(request):
     """The dictionary, equivalence side: the literal gauge shift of the
     zero deformation along a witness is exactly D_{q-1} applied to the
     witness coordinates."""
-    # the single-summand selections expose the unsigned block of the
-    # differential, which differs from the literal shift by a global -1
-    # (invisible in characteristic 2); the spans and hence the
-    # classifications agree either way
-    expected_sign = {"tens": -1, "pent_restricted": -1}
     for G, kind in _cases(request):
-        K = G.base.field
         sel = ComplexSelection(kind)
         q = candidate_degree(kind)
         wsp = total_space(G, sel, q - 1)
         Dprev = total_differential(G, sel, q - 1)
-        sign = expected_sign.get(kind, 1)
         for wb in wsp.basis:
             w = witness_from_vector(G, kind, wb)
             shift = equivalence_shift(G, w)
             got = vector_from_deformation(G, kind, shift)
-            want = Dprev.mul_vector(wb).entries
-            if sign == -1:
-                want = {i: K.neg(v) for i, v in want.items()}
-            assert got.entries == want, kind
+            assert got.entries == Dprev.mul_vector(wb).entries, kind
 
 
 def test_find_equivalence_within_and_across_classes(g_fiber2):
@@ -169,6 +159,28 @@ def test_find_equivalence_within_and_across_classes(g_fiber2):
     assert check_equivalence(G, rep, shifted, w).ok
     # a nontrivial class representative is not equivalent to zero
     assert find_equivalence(G, rep, zero_deformation(), kind) is None
+
+
+@pytest.mark.parametrize("kind", ["tens", "pent_restricted"])
+@pytest.mark.parametrize("field_", [GF(3), QQ], ids=["p=3", "q"])
+def test_find_equivalence_over_odd_characteristic(kind, field_):
+    """A nonzero gauge shift of the zero deformation is found equivalent
+    to it.  Over a field where -1 != 1 this needs the differential's sign
+    to be that of the literal shift."""
+    G = _model("z2-fiber", field_)
+    sel = ComplexSelection(kind)
+    q = candidate_degree(kind)
+    Dprev = total_differential(G, sel, q - 1)
+    shifted = 0
+    for wb in total_space(G, sel, q - 1).basis:
+        if Dprev.mul_vector(wb).is_zero():
+            continue
+        shift = equivalence_shift(G, witness_from_vector(G, kind, wb))
+        w = find_equivalence(G, zero_deformation(), shift, kind)
+        assert w is not None
+        assert check_equivalence(G, zero_deformation(), shift, w).ok
+        shifted += 1
+    assert shifted
 
 
 def test_brute_force_classification_matches_betti(g_fiber2):
@@ -306,6 +318,23 @@ def test_extend_and_deform_validates_and_refuses(g_fiber2):
     bad = deformation_from_vector(G, "unit", bad_vec)
     with pytest.raises(ValueError, match="structural"):
         extend_and_deform(G, bad)
+
+
+def test_extended_structure_reports_a_non_cocycle(g_fiber2):
+    """validate, called without extend_and_deform's check, finds every
+    structural equation a non-cocycle violates: the same instances as the
+    linearised check_structural."""
+    G = g_fiber2
+    sel = ComplexSelection("unit")
+    sp = total_space(G, sel, 2)
+    Dq = total_differential(G, sel, 2)
+    bad_vec = next(b for b in sp.basis if not Dq.mul_vector(b).is_zero())
+    bad = deformation_from_vector(G, "unit", bad_vec)
+    rep = dm.ExtendedStructure(G, bad).validate()
+    assert not rep.ok
+    assert {name for name, _ in rep.violations} == {
+        "associator-exchange", "pentagon-naturality"}
+    assert rep.violations == check_structural(G, bad).violations
 
 
 def test_check_equivalence_zero_witness_identity(g_fiber2):

@@ -183,7 +183,7 @@ def test_classification_bundle(FK):
             cls.deform(nonc)
     zero = Vector(cls.space2.dim_free)
     fhat1, f01 = cls.deform(zero)
-    assert set(fhat1) == {(t[0], t[1]) for t in cls.space2.tuples}
+    assert set(fhat1) == {(t[0], t[1]) for t in cls.space2.slots}
     # shifting by a coboundary is recognized as equivalent
     if cls.space1.basis:
         w = cls.space1.basis[0]
