@@ -148,6 +148,16 @@ def run_validate(text: str):
 
 def run_cohomology(text: str, selection: str, degree: int | None,
                    max_degree: int | None):
+    """The one degree given, or degrees 1..max_degree, or, with neither,
+    1..the selection's cap.  A degree below 1, or both arguments, is
+    malformed input (exit 2); a degree above the cap exits 3."""
+    if degree is not None and max_degree is not None:
+        return EXIT_PARSE, {
+            "error": "--degree and --max-degree exclude each other"}
+    for name, value in (("--degree", degree), ("--max-degree", max_degree)):
+        if value is not None and value < 1:
+            return EXIT_PARSE, {
+                "error": f"{name} must be at least 1, got {value}"}
     return _on_gray(text, _cohomology, selection, degree, max_degree)
 
 
@@ -157,7 +167,8 @@ def _cohomology(G: GraySemigroup, selection: str, degree: int | None,
     if degree is not None:
         degrees = [degree]
     else:
-        degrees = list(range(1, (max_degree or sel.qmax) + 1))
+        top = sel.qmax if max_degree is None else max_degree
+        degrees = list(range(1, top + 1))
     K = G.base.field
     results = []
     try:

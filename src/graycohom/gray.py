@@ -11,9 +11,11 @@ subject to the cubical vanishing conditions.  The module also builds the
 iterated tensor pseudofunctors C^n -> C and the canonical padding
 2-morphisms used by all differentials.  A tensor power builds its
 objects, 1-cells and their images when it is made; its 2-cell map, its
-coherence cells fhat and the composition tables of C^n are each built
-whole the first time they are read, so a caller that reads only the
-1-cells of C^5 never builds the rest.
+coherence cells fhat and the 1-cell composition and Hom2 dimension
+tables of C^n are each built whole the first time they are read, so a
+caller that reads only the 1-cells of C^5 never builds the rest.  C^n
+has no 2-cell table: its products recurse through its factors to the
+constants of C (twocat.ProductCategory).
 
 Every table derived from a structure (tensor powers here, cochain spaces
 and differentials in defcomplex, equation systems in deformations) is

@@ -14,9 +14,11 @@ plan is made, with the endpoint checks, the first time its key is used,
 and kept for the life of the structure; every later product at that key
 is one dict lookup and apply_plan.  The coefficient arithmetic is native
 ``*`` and ``+`` on ints and Fractions, and over F_p each output
-coefficient is reduced once, as in SparseMatrix.mul_vectors.  The
-product tables of ProductCategory (_kron) and Pseudofunctor.map2 use the
-same arithmetic.
+coefficient is reduced once, as in SparseMatrix.mul_vectors;
+Pseudofunctor.map2 uses the same arithmetic.  A product category
+(ProductCategory, the powers C^n) has plans of its own and no structure
+constants: its products recurse through its factors to the constants of
+the base categories.
 """
 
 from __future__ import annotations
@@ -61,9 +63,10 @@ class TwoMorphism:
 class TwoCategory:
     """Finite strict 2-category.
 
-    Tables:
+    Tables (a ProductCategory has only the first six):
       objects            -- tuple of object ids
-      one_cells          -- (X, Y) -> tuple of 1-cell ids
+      one_cells          -- (X, Y) -> tuple of 1-cell ids; a pair
+                            without 1-cells may be left out
       cell_src, cell_tgt -- 1-cell id -> object
       identity_cell      -- X -> id 1-cell
       compose1           -- (g, f) -> g o f, for tgt(f) = src(g)
@@ -112,7 +115,7 @@ class TwoCategory:
         cached = self._parallel_cache.get(f)
         if cached is None:
             X, Y = self.cell_src[f], self.cell_tgt[f]
-            cached = [g for g in self.one_cells[(X, Y)]
+            cached = [g for g in self.one_cells.get((X, Y), ())
                       if self.dim2(f, g) > 0]
             self._parallel_cache[f] = cached
         return cached
@@ -191,6 +194,14 @@ class TwoCategory:
         """The plan of a product into Hom2(src, tgt) with the structure
         constants consts (None when there are none)."""
         return (src, tgt, self.dim2(src, tgt), consts, self._p)
+
+    def basis_products(self, op, key):
+        """The function (j, i) -> {k: scalar} giving op ("vcomp" or
+        "hcomp") at key on left basis 2-cell j and right basis 2-cell i:
+        here a lookup in the structure constants."""
+        table = self.vcomp_const if op == "vcomp" else self.hcomp_const
+        consts = table.get(key, {})
+        return lambda j, i: consts.get((j, i), {})
 
     def vcomp(self, t2: TwoMorphism, t1: TwoMorphism) -> TwoMorphism:
         """Vertical composite t2 . t1 for t1: f => f1, t2: f1 => f2."""
@@ -404,78 +415,54 @@ def validate_two_category(C: TwoCategory) -> ValidationReport:
 # ----- cartesian products ----------------------------------------------
 
 
-def _kron(p, u, v, dim_v):
-    """Kronecker product of sparse vectors {index: scalar}: the index pair
-    (a, b) becomes a * dim_v + b.  Zero products are left out; over F_p
-    (p not None) each product is reduced once."""
-    out = {}
-    for a, x in u.items():
-        for b, y in v.items():
-            c = x * y if p is None else x * y % p
-            if c:
-                out[a * dim_v + b] = c
-    return out
-
-
-def _kron_table(p, ta, tb, dims_b):
-    """Structure constants {(j, i): {k: scalar}} of a product composition
-    from those of its two factors; dims_b are the second factor's Hom2
-    dimensions of the left input, the right input and the output."""
-    dj, di, dk = dims_b
-    table = {}
-    for (ja, ia), u in ta.items():
-        for (jb, ib), v in tb.items():
-            vec = _kron(p, u, v, dk)
-            if vec:
-                table[(ja * dj + jb, ia * di + ib)] = vec
-    return dict(sorted(table.items()))
-
-
 class ProductCategory(TwoCategory):
     """A x B, where the labels of A are tuples: a product label is an A
     label with the B component appended, and the product 2-cell with
     factor indices (i_A, i_B) has index i_A * dim_B + i_B.
 
-    objects, one_cells, cell_src, cell_tgt and identity_cell are built
-    with the product.  compose1, hom2_dim, id2_coeffs, vcomp_const and
-    hcomp_const are each built whole from the two factors the first time
-    they are read, so a caller that needs only the 1-cells of a large
-    power never pays for its composition tables."""
+    one_cells holds only the object pairs with 1-cells.  compose1 and
+    hom2_dim are each built whole from the factors when first read.  No
+    2-cell table is built: id2 is the Kronecker product of the factors'
+    identities, and a product of a (left) and b (right) sums, over the
+    nonzero a_j and b_i, a_j * b_i times the Kronecker product of A's and
+    B's basis_products at (j_A, i_A) and (j_B, i_B).  A recurses through
+    its own factors, so C^n reads only the constants of C.  The plan of
+    an endpoint key, made on first use with the endpoint checks of
+    TwoCategory, holds the output endpoints and dimension and the basis
+    product function.  Over F_p each output coefficient is reduced once."""
 
     def __init__(self, A: TwoCategory, B: TwoCategory):
         self.field = A.field
         self.factors = (A, B)
         self.objects = tuple(X + (Y,) for X in A.objects for Y in B.objects)
-        self.one_cells = {}
-        self.cell_src = {}
-        self.cell_tgt = {}
-        for X in self.objects:
-            for Y in self.objects:
-                cells = tuple(f + (g,)
-                              for f in A.one_cells.get((X[:-1], Y[:-1]), ())
-                              for g in B.one_cells.get((X[-1], Y[-1]), ()))
-                self.one_cells[(X, Y)] = cells
-                for f in cells:
-                    self.cell_src[f] = X
-                    self.cell_tgt[f] = Y
+        position = {X: k for k, X in enumerate(self.objects)}
+        pairs = sorted(
+            (position[XA + (XB,)], position[YA + (YB,)], fs, gs)
+            for (XA, YA), fs in A.one_cells.items() if fs
+            for (XB, YB), gs in B.one_cells.items() if gs)
+        self.one_cells, self.cell_src, self.cell_tgt = {}, {}, {}
+        for x, y, fs, gs in pairs:
+            X, Y = self.objects[x], self.objects[y]
+            cells = self.one_cells[(X, Y)] = tuple(f + (g,) for f in fs
+                                                   for g in gs)
+            for f in cells:
+                self.cell_src[f] = X
+                self.cell_tgt[f] = Y
         self.identity_cell = {
             X: A.identity_cell[X[:-1]] + (B.identity_cell[X[-1]],)
             for X in self.objects}
         self._p = A._p
-        self._id2_cache = {}
-        self._parallel_cache = {}
-        self._vcomp_plans = {}
-        self._hcomp_plans = {}
+        self._id2_cache, self._parallel_cache, self._plans = {}, {}, {}
 
     @cached_property
     def compose1(self):
         A, B = self.factors
+        into = {}
+        for (X, Y), fs in self.one_cells.items():
+            into.setdefault(Y, []).append(fs)
         compose1 = {}
         for (Y, Z), gs in self.one_cells.items():
-            if not gs:
-                continue
-            for X in self.objects:
-                fs = self.one_cells[(X, Y)]
+            for fs in into.get(Y, ()):
                 for g in gs:
                     for f in fs:
                         compose1[(g, f)] = (A.compose1[(g[:-1], f[:-1])]
@@ -494,57 +481,68 @@ class ProductCategory(TwoCategory):
                         hom2_dim[(f, f2)] = d
         return hom2_dim
 
-    @cached_property
-    def id2_coeffs(self):
-        A, B = self.factors
+    def id2(self, f) -> TwoMorphism:
+        cached = self._id2_cache.get(f)
+        if cached is None:
+            A, B = self.factors
+            p = self._p
+            cached = self._id2_cache[f] = TwoMorphism(f, f, tuple(
+                (x * y if p is None else x * y % p) if x and y else 0
+                for x in A.id2(f[:-1]).coeffs for y in B.id2(f[-1]).coeffs))
+        return cached
 
-        def sparse(coeffs):
-            return {k: v for k, v in enumerate(coeffs) if v}
+    def vcomp(self, t2: TwoMorphism, t1: TwoMorphism) -> TwoMorphism:
+        if t1.tgt != t2.src:
+            raise ValueError(f"vertical composition mismatch: {t1.tgt} vs {t2.src}")
+        return self._product("vcomp", (t1.src, t1.tgt, t2.tgt), t2, t1)
 
-        id2_coeffs = {}
-        for f in self.cell_src:
-            a, b = f[:-1], f[-1]
-            vec = _kron(self._p, sparse(A.id2_coeffs[a]),
-                        sparse(B.id2_coeffs[b]), B.dim2(b, b))
-            id2_coeffs[f] = tuple(vec.get(k, 0)
-                                  for k in range(self.dim2(f, f)))
-        return id2_coeffs
+    def hcomp(self, tg: TwoMorphism, tf: TwoMorphism) -> TwoMorphism:
+        return self._product("hcomp", (tg.src, tg.tgt, tf.src, tf.tgt),
+                             tg, tf)
 
-    @cached_property
-    def vcomp_const(self):
-        A, B = self.factors
-        vcomp_const = {}
-        for f in self.cell_src:
-            for f1 in self.parallel_targets(f):
-                for f2 in self.parallel_targets(f1):
-                    ta = A.vcomp_const.get((f[:-1], f1[:-1], f2[:-1]))
-                    tb = B.vcomp_const.get((f[-1], f1[-1], f2[-1]))
-                    if ta and tb:
-                        table = _kron_table(self._p, ta, tb, (
-                            B.dim2(f1[-1], f2[-1]), B.dim2(f[-1], f1[-1]),
-                            B.dim2(f[-1], f2[-1])))
-                        if table:
-                            vcomp_const[(f, f1, f2)] = table
-        return vcomp_const
+    def _plan(self, op, key) -> tuple:
+        """The plan (src, tgt, dim, basis products) of op at key."""
+        plan = self._plans.get((op, key))
+        if plan is None:
+            A, B = self.factors
+            kb = tuple(c[-1] for c in key)
+            if op == "vcomp":
+                src, tgt, x, y = key[0], key[2], kb[1:], kb[:2]
+            else:
+                g, g2, f, f2 = key
+                if self.cell_tgt[f] != self.cell_src[g]:
+                    raise ValueError("horizontal composition mismatch")
+                src, tgt, x, y = (self.compose(g, f), self.compose(g2, f2),
+                                  kb[:2], kb[2:])
+            basis_a = A.basis_products(op, tuple(c[:-1] for c in key))
+            basis_b = B.basis_products(op, kb)
+            dx, dy, d = B.dim2(*x), B.dim2(*y), B.dim2(src[-1], tgt[-1])
 
-    @cached_property
-    def hcomp_const(self):
-        A, B = self.factors
-        compose1 = self.compose1
-        hcomp_const = {}
-        for (g, f), gf in compose1.items():
-            for g2 in self.parallel_targets(g):
-                for f2 in self.parallel_targets(f):
-                    ta = A.hcomp_const.get((g[:-1], g2[:-1], f[:-1], f2[:-1]))
-                    tb = B.hcomp_const.get((g[-1], g2[-1], f[-1], f2[-1]))
-                    if ta and tb:
-                        g2f2 = compose1[(g2, f2)]
-                        table = _kron_table(self._p, ta, tb, (
-                            B.dim2(g[-1], g2[-1]), B.dim2(f[-1], f2[-1]),
-                            B.dim2(gf[-1], g2f2[-1])))
-                        if table:
-                            hcomp_const[(g, g2, f, f2)] = table
-        return hcomp_const
+            def basis(j, i):
+                # the outer product of A's and B's basis products, less
+                # its zero entries
+                ja, jb = divmod(j, dx)
+                ia, ib = divmod(i, dy)
+                u = basis_a(ja, ia)
+                v = basis_b(jb, ib) if u else {}
+                return {a * d + b: s * t for a, s in u.items() if s
+                        for b, t in v.items() if t}
+
+            plan = self._plans[(op, key)] = (src, tgt, self.dim2(src, tgt),
+                                             basis)
+        return plan
+
+    def basis_products(self, op, key):
+        return self._plan(op, key)[3]
+
+    def _product(self, op, key, x, y) -> TwoMorphism:
+        """op of x (left) and y (right) at key: apply_plan with the basis
+        products at the pairs of nonzero coefficients as constants."""
+        src, tgt, dim, basis = self._plan(op, key)
+        ys = [i for i, b in enumerate(y.coeffs) if b]
+        consts = {(j, i): basis(j, i)
+                  for j, a in enumerate(x.coeffs) if a for i in ys}
+        return apply_plan((src, tgt, dim, consts, self._p), x.coeffs, y.coeffs)
 
 
 def product_many(cats: list[TwoCategory]) -> TwoCategory:

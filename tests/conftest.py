@@ -25,12 +25,21 @@ Two more models have fibers of dimension > 1:
 
 make_model_a(n, K) builds Model A for any n and field; make_model_b()
 builds Model B.
+
+* model_s  -- base S_3 (the permutations of (0, 1, 2), composed as
+              maps), trivial fiber, F_2 (Model S): the first model whose
+              tensor of objects does not commute.  Only the six identity
+              1-cells exist, so C^n has 6^n objects but only 6^n object
+              pairs with 1-cells.
 """
+
+import itertools
 
 import pytest
 
 from graycohom.exactlinalg import GF
 from graycohom.examples import (
+    FiniteGroup,
     GroupModelSpec,
     cyclic_group,
     deloop,
@@ -66,6 +75,14 @@ def g_fiber2():
 def g_sign3():
     return make_model(cyclic_group(2), cyclic_group(2),
                       sign_bicharacter, GF(3))
+
+
+@pytest.fixture(scope="session")
+def model_s():
+    perms = tuple(itertools.permutations(range(3)))
+    s3 = FiniteGroup(perms, {(a, b): tuple(a[k] for k in b)
+                             for a in perms for b in perms}, (0, 1, 2))
+    return make_model(s3, trivial_group(), trivial_bicharacter, GF(2))
 
 
 @pytest.fixture(scope="session")

@@ -183,6 +183,21 @@ def test_cohomology_cap_exits_3(fiber2_text):
     assert code == cli.EXIT_CAP and "error" in doc
 
 
+@pytest.mark.parametrize("degree, max_degree, named", [
+    (None, 0, "--max-degree"),
+    (None, -1, "--max-degree"),
+    (0, None, "--degree"),
+    (2, 1, "--max-degree"),
+])
+def test_cohomology_malformed_degrees_exit_2(fiber2_text, degree,
+                                             max_degree, named):
+    """A degree below 1, or --degree with --max-degree, is malformed
+    input: exit 2 with a message naming the argument, before any work."""
+    code, doc = cli.run_cohomology(fiber2_text, "unit", degree, max_degree)
+    assert code == cli.EXIT_PARSE
+    assert named in doc["error"]
+
+
 def test_cohomology_over_rationals():
     code, doc = cli.run_export("z2-sign", "q")
     assert code == cli.EXIT_OK

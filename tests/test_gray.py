@@ -7,7 +7,12 @@ import pytest
 
 from conftest import make_model
 from graycohom import cli, gray, schema as sc
-from graycohom.defcomplex import ComplexSelection, cohomology
+from graycohom.defcomplex import (
+    ComplexSelection,
+    cohomology,
+    total_differential,
+    total_space,
+)
 from graycohom.exactlinalg import GF, QQ
 from graycohom.examples import cyclic_group, sign_bicharacter
 from graycohom.gray import (
@@ -152,8 +157,7 @@ def test_validator_builds_the_n3_fhat(monkeypatch):
         "tensor-power-recursions"}
 
 
-_DOM_TABLES = ("compose1", "hom2_dim", "id2_coeffs", "vcomp_const",
-               "hcomp_const")
+_DOM_TABLES = ("compose1", "hom2_dim")
 _PF_TABLES = ("obj_map", "cell_map", "two_map", "fhat", "f0")
 
 
@@ -169,11 +173,12 @@ def test_tensor_power_tables_wait_for_their_first_read():
         cohomology(G, sel, q)
     F5, F4 = tensor_power(G, 5), tensor_power(G, 4)
     unread = [(F5, ("fhat", "two_map")),
-              (F5.dom, _DOM_TABLES),
-              (F4.dom, ("hcomp_const", "vcomp_const"))]
+              (F5.dom, _DOM_TABLES)]
     for obj, names in unread:
         for name in names:
             assert name not in vars(obj), name
+    # no vertical or horizontal product on C^4 was made
+    assert not F4.dom._plans
 
     fresh = make_model(cyclic_group(2), cyclic_group(2), sign_bicharacter,
                        GF(3))
@@ -191,6 +196,25 @@ def test_tensor_power_tables_wait_for_their_first_read():
         for name in _PF_TABLES:
             assert (repr(list(getattr(lazy, name).items()))
                     == repr(list(getattr(eager, name).items()))), name
+
+
+def test_model_s_stores_only_the_object_pairs_with_1_cells(model_s):
+    """Model S is a valid Gray semigroup whose tensor of objects does not
+    commute.  C^4 has 6^4 objects but keeps only the 6^4 object pairs
+    with 1-cells, not all (6^4)^2 pairs, and the unit complex squares to
+    zero from degree 1 to 3."""
+    G = model_s
+    assert G.tobj((1, 0, 2), (0, 2, 1)) != G.tobj((0, 2, 1), (1, 0, 2))
+    rep = validate_gray(G)
+    assert rep.ok, rep.violations[:5]
+    assert len(tensor_power(G, 4).dom.one_cells) == 1296
+    sel = ComplexSelection("unit")
+    for q in (1, 2):
+        images = total_differential(G, sel, q).mul_vectors(
+            total_space(G, sel, q).basis)
+        assert all(v.is_zero()
+                   for v in total_differential(G, sel, q + 1).mul_vectors(
+                       images))
 
 
 def _random_letters(rng, dom, k):

@@ -4,11 +4,17 @@ hom spaces are genuinely multi-dimensional."""
 
 import functools
 import math
+import os
+import re
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graycohom
 from conftest import make_model, make_model_a, make_model_b
 from graycohom.exactlinalg import GF, QQ
 from graycohom.examples import (
@@ -169,6 +175,38 @@ def test_product_composition_is_kronecker_of_factors(model, g_sign3):
     assert checked
 
 
+def test_products_on_c5_build_no_table():
+    """One vcomp and one hcomp on C^5, for C the 2-category of Model A
+    (n = 3, F_3), finish within 1 GiB of address space: a product on a
+    power reads only the factors' constants.  Each is a product of basis
+    2-cells of K[Z/3]^5, so it lands on the basis 2-cell of the
+    digit-wise sum mod 3 of its inputs' indices."""
+    child = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from graycohom.exactlinalg import GF
+        from graycohom.examples import deloop, group_algebra_monoidal
+        from graycohom.twocat import product_many
+        P = product_many([deloop(group_algebra_monoidal(3, GF(3)))] * 5)
+        f, g = (1, 2, 0, 1, 2), (2, 2, 1, 0, 1)
+        a = P.basis2(f, f, 7)
+        v = P.vcomp(a, P.basis2(f, f, 100))
+        h = P.hcomp(P.basis2(g, g, 5), a)
+        print(v.coeffs.index(1), sum(v.coeffs), h.coeffs.index(1),
+              sum(h.coeffs), *h.src)
+    """)
+    src = os.path.dirname(os.path.dirname(graycohom.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", child], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr[-2000:]
+    # 7 + 100 = (0,0,0,2,1) + (1,0,2,0,1) -> (1,0,2,2,2) = 107 in base 3;
+    # 5 + 7 = (0,0,0,1,2) + (0,0,0,2,1) -> 0; g o f = f + g digit-wise
+    assert run.stdout.split() == ["107", "1", "0", "1", "0", "1", "1", "1",
+                                  "0"]
+
+
 def test_identity_pseudofunctor_validates(C):
     F = identity_pseudofunctor(C)
     rep = validate_pseudofunctor(F)
@@ -203,18 +241,23 @@ FIELDS = [QQ, GF(2), GF(5), GF(97)]
 
 @functools.cache
 def _plan_cases():
-    """(name, 2-category, Gray semigroup or None): Model B, the delooped
-    K[Z/3] over every field of FIELDS, Model A (n = 2) over F_2, F_3 and
-    Q, and z2-sign over F_3 and Q."""
-    cases = [("model-b", make_model_b(), None)]
-    cases += [(f"group-algebra-{K!r}", deloop(group_algebra_monoidal(3, K)),
+    """(name, 2-category, Gray semigroup or None, base or None): Model B,
+    the delooped K[Z/3] over every field of FIELDS, Model A (n = 2) over
+    F_2, F_3 and Q, and z2-sign over F_3 and Q; and the powers C^2 and
+    C^3 (product_many) of each of the first three, whose base C is the
+    fourth entry."""
+    bases = [("model-b", make_model_b(), None)]
+    bases += [(f"group-algebra-{K!r}", deloop(group_algebra_monoidal(3, K)),
                None) for K in FIELDS]
     for K in (GF(2), GF(3), QQ):
         G = make_model_a(2, K)
-        cases.append((f"model-a-{K!r}", G.base, G))
+        bases.append((f"model-a-{K!r}", G.base, G))
+    cases = [case + (None,) for case in bases]
     for K in (GF(3), QQ):
         G = make_model(cyclic_group(2), cyclic_group(2), sign_bicharacter, K)
-        cases.append((f"z2-sign-{K!r}", G.base, G))
+        cases.append((f"z2-sign-{K!r}", G.base, G, None))
+    cases += [(f"{name}^{n}", product_many([C] * n), None, C)
+              for name, C, _ in bases for n in (2, 3)]
     return cases
 
 
@@ -240,22 +283,55 @@ def _schoolbook(K, consts, dim, a, b):
     return tuple(out)
 
 
+def _power_consts(C, op, key):
+    """The structure constants of op ("vcomp" at key (f, f1, f2), "hcomp"
+    at key (g, g2, f, f2)) on the power of C whose 1-cells are tuples:
+    the Kronecker product of the constants of C at each factor's key,
+    the first factor most significant."""
+    table = {(0, 0): {0: 1}}
+    for part in zip(*key):
+        if op == "vcomp":
+            f, f1, f2 = part
+            consts = C.vcomp_const.get(part)
+            dims = C.dim2(f1, f2), C.dim2(f, f1), C.dim2(f, f2)
+        else:
+            g, g2, f, f2 = part
+            consts = C.hcomp_const.get(part)
+            dims = (C.dim2(g, g2), C.dim2(f, f2),
+                    C.dim2(C.compose1[(g, f)], C.compose1[(g2, f2)]))
+        dj, di, dk = dims
+        table = {(j * dj + jj, i * di + ii): {k * dk + kk: v * w
+                                              for k, v in vec.items()
+                                              for kk, w in vec2.items()}
+                 for (j, i), vec in table.items()
+                 for (jj, ii), vec2 in (consts or {}).items()}
+    return table
+
+
 def _same(K, got, want):
     """Equal values; over F_p also ints in 0..p-1."""
     assert got == want
     assert K == QQ or all(K.contains(x) for x in got)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=450, deadline=None)
 @given(data=st.data())
 def test_products_equal_the_structure_constant_sum(data):
     """vcomp, hcomp and tensor2 through their plans equal the sum over
     the structure constants at their endpoint key, whether or not the
-    plan exists yet.  Model B's vertical product is the 2 x 2 matrix
-    product, so a swapped factor order fails here."""
-    name, C, G = data.draw(st.sampled_from(_plan_cases()), label="case")
+    plan exists yet; on a power C^n the constants are the Kronecker
+    product of those of C.  Model B's vertical product is the 2 x 2
+    matrix product, so a swapped factor order fails here."""
+    name, C, G, base = data.draw(st.sampled_from(_plan_cases()),
+                                 label="case")
     K = C.field
     cells = list(C.cell_src)
+
+    def consts(op, key):
+        if base is not None:
+            return _power_consts(base, op, key)
+        table = C.vcomp_const if op == "vcomp" else C.hcomp_const
+        return table.get(key)
 
     def cell2(f, f2):
         return TwoMorphism(f, f2, data.draw(_coeffs(K, C.dim2(f, f2))))
@@ -266,7 +342,7 @@ def test_products_equal_the_structure_constant_sum(data):
     t1, t2 = cell2(f, f1), cell2(f1, f2)
     got = C.vcomp(t2, t1)
     assert (got.src, got.tgt) == (f, f2)
-    _same(K, got.coeffs, _schoolbook(K, C.vcomp_const.get((f, f1, f2)),
+    _same(K, got.coeffs, _schoolbook(K, consts("vcomp", (f, f1, f2)),
                                      C.dim2(f, f2), t2.coeffs, t1.coeffs))
 
     g, f = data.draw(st.sampled_from(list(C.compose1)))
@@ -276,7 +352,7 @@ def test_products_equal_the_structure_constant_sum(data):
     got = C.hcomp(tg, tf)
     gf, g2f2 = C.compose1[(g, f)], C.compose1[(g2, f2)]
     assert (got.src, got.tgt) == (gf, g2f2)
-    _same(K, got.coeffs, _schoolbook(K, C.hcomp_const.get((g, g2, f, f2)),
+    _same(K, got.coeffs, _schoolbook(K, consts("hcomp", (g, g2, f, f2)),
                                      C.dim2(gf, g2f2), tg.coeffs, tf.coeffs))
 
     if G is None:
@@ -294,14 +370,16 @@ def test_products_equal_the_structure_constant_sum(data):
 
 def test_mismatched_products_raise_when_the_plan_exists(model_b):
     """A vcomp whose key has a plan still compares t1.tgt with t2.src,
-    and a horizontal mismatch raises every time."""
-    C = model_b
-    fg, gg = C.basis2("f", "g", 1), C.basis2("g", "g", 2)
-    C.vcomp(gg, fg)
-    for _ in range(2):
-        with pytest.raises(ValueError,
-                           match="vertical composition mismatch: g vs f"):
-            C.vcomp(fg, fg)
-        with pytest.raises(ValueError,
-                           match="^horizontal composition mismatch$"):
-            C.hcomp(fg, fg)
+    and a horizontal mismatch raises every time, with the same messages
+    on Model B and on its square."""
+    for C, f, g in ((model_b, "f", "g"),
+                    (product_many([model_b] * 2), ("f", "f"), ("g", "g"))):
+        fg, gg = C.basis2(f, g, 1), C.basis2(g, g, 2)
+        C.vcomp(gg, fg)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"vertical composition mismatch: {g} vs {f}")):
+                C.vcomp(fg, fg)
+            with pytest.raises(ValueError,
+                               match="^horizontal composition mismatch$"):
+                C.hcomp(fg, fg)
