@@ -164,14 +164,17 @@ def run_cohomology(text: str, selection: str, degree: int | None,
 def _cohomology(G: GraySemigroup, selection: str, degree: int | None,
                 max_degree: int | None):
     sel = ComplexSelection(selection)
-    if degree is not None:
-        degrees = [degree]
-    else:
-        top = sel.qmax if max_degree is None else max_degree
-        degrees = list(range(1, top + 1))
     K = G.base.field
     results = []
     try:
+        if degree is not None:
+            degrees = [degree]
+        else:
+            top = sel.qmax if max_degree is None else max_degree
+            # a top above the cap is refused, at its first degree past the
+            # cap, before any degree is computed
+            defcomplex.check_degree(sel, min(top, sel.qmax + 1))
+            degrees = range(1, top + 1)
         for q in degrees:
             coh = defcomplex.cohomology(G, sel, q)
             results.append({

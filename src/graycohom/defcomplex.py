@@ -520,11 +520,16 @@ def assemble_complex(G: GraySemigroup, sel: ComplexSelection):
     return {"selection": sel, "spaces": spaces, "differentials": diffs}
 
 
+def check_degree(sel: ComplexSelection, q: int):
+    """Refuse a degree outside 1..sel.qmax with CapExceeded."""
+    if q < 1 or q > sel.qmax:
+        raise CapExceeded(f"degree {q} outside 1..{sel.qmax}")
+
+
 def cohomology(G: GraySemigroup, sel: ComplexSelection, q: int):
     """dim H^q, representatives (free total coordinates) and the rank of
     the coboundaries in degree q."""
-    if q < 1 or q > sel.qmax:
-        raise CapExceeded(f"degree {q} outside 1..{sel.qmax}")
+    check_degree(sel, q)
     sp_prev = total_space(G, sel, q - 1)
     sp_q = total_space(G, sel, q)
     D_q = total_differential(G, sel, q)

@@ -365,9 +365,13 @@ class _Equations:
                 for c in self.residual(fn, ctx).coeffs]
 
     def check(self, rep: ValidationReport, *data) -> ValidationReport:
-        """rep with every violated instance of the data added."""
+        """rep with every violated instance of the data added, in instance
+        order.  Only the touched instances are evaluated (literally); every
+        other one has the residual of zero data, which layout's full pass
+        has checked is zero."""
         ctx = self.context(self.G, *data)
-        for name, key, fn in self.instances:
+        for i in self.touched(*data):
+            name, key, fn = self.instances[i]
             if not self.C.is_zero2(self.residual(fn, ctx)):
                 rep.add(name, key)
         return rep
@@ -376,41 +380,48 @@ class _Equations:
     def layout(self):
         """(offsets, readers): the first residual row of each instance, and
         for each (role, family, key) of data the instances that read it.
-        Built by one literal pass on zero data, which also checks that its
-        residual vanishes.  An instance picks its keys from its own cells,
-        never from the data, so the read sets hold for all data."""
+        Built by one literal pass over every instance on zero data, which
+        also checks that its residual vanishes.  An instance picks its keys
+        from its own cells, never from the data, so the read sets hold for
+        all data."""
         reads = set()
         ctx = self.context(
             self.G, *(cls() for cls, _names in self.context.roles.values()),
             reads=reads)
         offsets, readers = [], {}
         row = 0
-        for i, (_name, _key, fn) in enumerate(self.instances):
+        for i, (name, key, fn) in enumerate(self.instances):
             reads.clear()
             res = self.residual(fn, ctx)
             if not self.C.is_zero2(res):
                 raise AssertionError(
-                    "the zero deformation has a nonzero residual")
+                    f"the zero deformation has a nonzero residual at "
+                    f"{name} {key!r}")
             offsets.append(row)
             row += len(res.coeffs)
             for entry in reads:
                 readers.setdefault(entry, []).append(i)
         return offsets, readers
 
-    def column(self, *data) -> dict:
-        """_nonzero(residual_list(*data)).  Only the instances that read an
-        entry of the data are evaluated (literally); the residual of every
-        other one is that of zero data, which layout has checked is
-        zero."""
-        offsets, readers = self.layout
-        touched = set()
+    def touched(self, *data) -> list:
+        """The indices, ascending, of the instances that read an entry
+        stored in the data, by layout's read index."""
+        readers = self.layout[1]
+        out = set()
         for role, obj in zip(self.context.roles, data):
             for fld in fields(obj):
                 for key in getattr(obj, fld.name):
-                    touched.update(readers.get((role, fld.name, key), ()))
+                    out.update(readers.get((role, fld.name, key), ()))
+        return sorted(out)
+
+    def column(self, *data) -> dict:
+        """_nonzero(residual_list(*data)).  Only the touched instances are
+        evaluated (literally); the residual of every other one is that of
+        zero data, which layout has checked is zero."""
+        offsets = self.layout[0]
         ctx = self.context(self.G, *data)
         col = {}
-        for i in sorted(touched):
+        for i in self.touched(*data):
             res = self.residual(self.instances[i][2], ctx)
             col.update((offsets[i] + k, v) for k, v in enumerate(res.coeffs)
                        if v)
@@ -687,7 +698,11 @@ def check_structural(G: GraySemigroup,
                      d: FirstOrderDeformation) -> ValidationReport:
     """Evaluate the eight structural equations of the eps-extension with d
     substituted and extract the first-order coefficient; lists every
-    violated condition name with its instance key."""
+    violated condition name with its instance key, in instance order.
+    Only the instances that read an entry stored in d are evaluated,
+    found through the system's read index; every other instance has the
+    residual of the zero deformation, which the index's one full literal
+    pass checked is zero."""
     rep = data_shapes(G, d)
     if rep.structural_errors:
         return rep
@@ -880,7 +895,10 @@ def check_equivalence(G: GraySemigroup, d1: FirstOrderDeformation,
                       d2: FirstOrderDeformation,
                       w: EquivalenceWitness) -> ValidationReport:
     """Does the gauge witness w carry d1 into d2?  Evaluates the transfer
-    equations literally and lists every violated instance."""
+    equations literally and lists every violated instance, in instance
+    order.  As in check_structural, only the instances that read an entry
+    stored in d1, d2 or w are evaluated; the rest have the residual of
+    zero data, which the read index's full pass checked is zero."""
     rep = data_shapes(G, d1).merged(
         data_shapes(G, d2)).merged(data_shapes(G, w))
     if rep.structural_errors:
@@ -1096,10 +1114,13 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
     basis vector.  A column is evaluated literally, but only on the
     instances that read an entry the basis vector sets; every other
     instance keeps the residual of the zero deformation, which one full
-    literal pass checks is zero.  Linearity is verified against the full
-    literal residual at three random candidates, and the accept/reject
-    decision against check_structural at three cocycles and three
-    non-cocycles.
+    literal pass (the read index's) checks is zero.  Linearity is
+    verified against the full literal residual, every instance evaluated,
+    at three random candidates; this is what catches a read index that
+    misses an instance.  The accept/reject decision is spot-checked
+    against check_structural at three cocycles and three non-cocycles;
+    that check, like check_equivalence below, goes through the read
+    index too.
 
     Solutions are partitioned by the gauge shifts of an exhaustively
     spanned witness space, each shift re-checked literally.  A sampled
@@ -1107,8 +1128,8 @@ def brute_force_classes(G: GraySemigroup, kind: str = "unit",
     inequivalent representatives every witness is tried when affordable:
     the transfer residual is linear too, so it is the literal residual at
     the zero witness plus a combination of the literal residuals of the
-    witness basis, verified against the full literal residual at three
-    random witnesses.
+    witness basis, all evaluated on every instance, and verified against
+    the full literal residual at three random witnesses.
     """
     C = G.base
     K = C.field

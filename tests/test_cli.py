@@ -183,6 +183,18 @@ def test_cohomology_cap_exits_3(fiber2_text):
     assert code == cli.EXIT_CAP and "error" in doc
 
 
+def test_max_degree_above_the_cap_exits_3_before_any_degree(
+        sign3_text, monkeypatch):
+    """--max-degree above the cap is refused with exit 3 and the message
+    of the first degree past the cap, before any degree is computed."""
+    computed = []
+    monkeypatch.setattr(cli.defcomplex, "cohomology",
+                        lambda G, sel, q: computed.append(q))
+    code, doc = cli.run_cohomology(sign3_text, "unit", None, 9)
+    assert (code, doc) == (cli.EXIT_CAP, {"error": "degree 4 outside 1..3"})
+    assert computed == []
+
+
 @pytest.mark.parametrize("degree, max_degree, named", [
     (None, 0, "--max-degree"),
     (None, -1, "--max-degree"),

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import graycohom.deformations as dm
+from conftest import make_model_a
 from graycohom.cli import EXPORT_MODELS
 from graycohom.defcomplex import (
     ComplexSelection,
@@ -50,7 +51,7 @@ from graycohom.examples import (
     trivial_bicharacter,
     trivial_group,
 )
-from graycohom.twocat import TwoMorphism
+from graycohom.twocat import TwoMorphism, ValidationReport
 
 # (fixture name, kinds exercised on it)
 DICTIONARY_CASES = [
@@ -347,16 +348,24 @@ def _model(name, field_):
     return group_model(EXPORT_MODELS[name](field_))
 
 
+def _structure(name, p):
+    """A built-in model over F_p, or Model A (n = 2) over F_p."""
+    if name == "model-a":
+        return make_model_a(2, GF(p))
+    return _model(name, GF(p))
+
+
 @pytest.mark.parametrize("name, p, kinds", [
     ("z2-base", 2, ORACLE_KINDS),
     ("z2-fiber", 2, ORACLE_KINDS),
     ("z2-fiber", 3, ORACLE_KINDS),
     ("z2-sign", 2, ("tens",)),
+    ("model-a", 2, ORACLE_KINDS),
 ])
 def test_touched_instance_columns_equal_literal_residuals(name, p, kinds):
     """A column evaluated only on the instances that read the data of a
     basis vector is the full literal residual of that vector."""
-    G = _model(name, GF(p))
+    G = _structure(name, p)
     sys = dm._structural_system(G)
     columns = 0
     for kind in kinds:
@@ -368,6 +377,102 @@ def test_touched_instance_columns_equal_literal_residuals(name, p, kinds):
                 r: v for r, v in enumerate(full) if v}, (kind, b.entries)
             columns += 1
     assert columns
+
+
+def _full_check(system, *data):
+    """The violations of a loop over every instance of the system."""
+    ctx = system.context(system.G, *data)
+    rep = ValidationReport()
+    for name, key, fn in system.instances:
+        if not system.C.is_zero2(system.residual(fn, ctx)):
+            rep.add(name, key)
+    return rep
+
+
+def _random_data(G, cls, rng, per_family=3):
+    """Data of class cls with a nonzero random entry at each of a few
+    random keys of every family, whatever the selections allow."""
+    C, K = G.base, G.base.field
+    cells, objs = sorted(C.cell_src), sorted(C.objects)
+    comp = [(fp, f) for fp in cells for f in cells
+            if C.cell_tgt[f] == C.cell_src[fp]]
+    keys = {
+        "tensorator1": [((fp, gp), (f, g)) for fp, f in comp
+                        for gp, g in comp],
+        "associator1": list(itertools.product(cells, repeat=3)),
+        "pentagonator1": list(itertools.product(objs, repeat=4)),
+        "psi1": list(itertools.product(cells, repeat=2)),
+        "omega1": list(itertools.product(objs, repeat=3)),
+    }
+    data = cls()
+    for fld in fields(cls):
+        table = getattr(data, fld.name)
+        family = keys[fld.name]
+        for key in rng.sample(family, min(per_family, len(family))):
+            src, tgt = dm._ENTRIES[fld.name][0](G, key)
+            coeffs = [K.from_int(rng.randrange(K.p))
+                      for _ in range(C.dim2(src, tgt))]
+            coeffs[rng.randrange(len(coeffs))] = K.one()
+            table[key] = TwoMorphism(src, tgt, tuple(coeffs))
+    return data
+
+
+@pytest.mark.parametrize("name, p", [
+    ("z2-base", 2), ("z2-base", 3), ("z2-fiber", 2), ("z2-fiber", 3),
+    ("z2-sign", 2), ("z2-sign", 3), ("model-a", 2),
+])
+def test_touched_check_equals_the_full_loop(name, p):
+    """check_structural and check_equivalence evaluate only the instances
+    the data touches.  Their reports equal those of a loop over every
+    instance -- the same names and keys in the same order, and the same
+    ok -- on each unit basis vector, on random combinations of them and
+    on random data that is no cocycle."""
+    G = _structure(name, p)
+    K = G.base.field
+    rng = random.Random(17)
+    sel = ComplexSelection("unit")
+    dsp, wsp = (total_space(G, sel, q) for q in (2, 1))
+    zd, zw = zero_deformation(), zero_witness()
+
+    def combination(sp):
+        return _combine(K, sp.basis, [K.from_int(rng.randrange(p))
+                                      for _ in sp.basis], sp.dim_free)
+
+    def deformation(v):
+        return deformation_from_vector(G, "unit", v)
+
+    def witness(v):
+        return witness_from_vector(G, "unit", v)
+
+    basis = [deformation(b) for b in dsp.basis]
+    combos = [deformation(combination(dsp)) for _ in range(4)]
+    rand = [_random_data(G, FirstOrderDeformation, rng) for _ in range(4)]
+    structural = [((d,), False) for d in basis + combos]
+    structural += [((d,), True) for d in rand]
+    transfer = [((d, zd, zw), False) for d in basis]
+    transfer += [((zd, d, zw), False) for d in basis]
+    transfer += [((zd, zd, witness(b)), False) for b in wsp.basis]
+    transfer += [((deformation(combination(dsp)),
+                   deformation(combination(dsp)),
+                   witness(combination(wsp))), False) for _ in range(4)]
+    transfer += [((_random_data(G, FirstOrderDeformation, rng),
+                   _random_data(G, FirstOrderDeformation, rng),
+                   _random_data(G, EquivalenceWitness, rng)), True)
+                 for _ in range(4)]
+    violated = collections.Counter()
+    for check, system, cases in (
+            (check_structural, dm._structural_system(G), structural),
+            (check_equivalence, dm._equivalence_system(G), transfer)):
+        for data, noncocycle in cases:
+            got = check(G, *data)
+            want = _full_check(system, *data)
+            assert got.violations == want.violations, (check.__name__, data)
+            assert got.structural_errors == []
+            assert got.ok == want.ok
+            if noncocycle:
+                assert not want.ok, (check.__name__, data)
+            violated[check.__name__] += not want.ok
+    assert violated["check_structural"] and violated["check_equivalence"]
 
 
 def test_transfer_combination_equals_literal_residual(g_fiber2):
@@ -546,6 +651,70 @@ def test_consistency_checks_survive_python_O():
                    "1 classes of 2^1 do not cover 4 cocycles",
                    "2 representatives for dimension 4",
                    "differential does not square to zero at degree 1"]
+
+
+def test_brute_force_catches_a_missing_reader():
+    """check_structural and the columns trust the read index of layout.
+    With one (entry, instance) link dropped from it, the column of a basis
+    vector loses that instance's rows; the cocycle count cannot see it,
+    since the enumeration and the rank both read the columns, but the
+    linearity check against the full literal residual does."""
+    G = _model("z2-fiber", GF(2))   # its own structure: the index is broken
+    kind = "ass"
+    system = dm._structural_system(G)
+    readers = system.layout[1]
+    sp = total_space(G, ComplexSelection(kind), candidate_degree(kind))
+
+    def dropped():
+        for b in sp.basis:
+            d = deformation_from_vector(G, kind, b)
+            entries = [("d", fld.name, key) for fld in fields(d)
+                       for key in getattr(d, fld.name)]
+            ctx = system.context(G, d)
+            for entry in entries:
+                others = {i for e in entries if e != entry
+                          for i in readers[e]}
+                for i in readers[entry]:
+                    res = system.residual(system.instances[i][2], ctx)
+                    if i not in others and not G.base.is_zero2(res):
+                        readers[entry].remove(i)
+                        return d
+        raise LookupError("no basis column reads an instance once")
+
+    d = dropped()
+    assert system.column(d) != dm._nonzero(system.residual_list(d))
+    with pytest.raises(AssertionError) as raised:
+        brute_force_classes(G, kind)
+    assert str(raised.value).startswith(
+        "the structural residual is not linear at (")
+
+
+@pytest.mark.parametrize("system", [dm._StructuralSystem,
+                                    dm._EquivalenceSystem])
+def test_layout_names_the_instance_with_a_nonzero_zero_residual(
+        g_fiber2, system):
+    """The full pass of layout refuses an instance whose residual at zero
+    data is nonzero, and names it."""
+    sys_ = system(g_fiber2)
+    K = g_fiber2.base.field
+    k = len(sys_.instances) // 2
+    name, key, fn = sys_.instances[k]
+
+    def one(t):
+        return TwoMorphism(t.src, t.tgt, (K.one(),) + t.coeffs[1:])
+
+    def bad(ctx):
+        out = fn(ctx)
+        if system is dm._StructuralSystem:
+            lhs, rhs = out
+            return dm.ECell(lhs.lead, one(lhs.eps)), rhs
+        return one(out)
+
+    sys_.instances[k] = (name, key, bad)
+    with pytest.raises(AssertionError) as raised:
+        sys_.layout
+    assert str(raised.value) == (
+        f"the zero deformation has a nonzero residual at {name} {key!r}")
 
 
 def test_library_has_no_assert_statements():
