@@ -240,9 +240,11 @@ def _oracle(G: GraySemigroup, mode: str, bound: int):
             "error": "the oracle comparison needs a prime-field structure"}
     kind = _MODE_TO_KIND[mode]
     try:
+        # the enumeration refuses a space past the bound before the
+        # cohomology is computed
+        brute = brute_force_classes(G, kind, bound=bound)
         coh = defcomplex.cohomology(G, ComplexSelection(kind),
                                     candidate_degree(kind))
-        brute = brute_force_classes(G, kind, bound=bound)
     except (CapExceeded, EnumerationBoundExceeded) as e:
         return EXIT_CAP, {"error": str(e)}
     linear_count = K.p ** coh["betti"]

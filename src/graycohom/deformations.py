@@ -116,9 +116,15 @@ class ECell:
 class _Eps:
     """Composition algebra of eps-pairs over a fixed Gray semigroup.
 
-    The eps part of a product of two eps-pairs is the sum of two bilinear
-    products; one whose eps factor is zero is left out, which is exact.
-    Zero eps parts are shared, one per endpoint pair."""
+    vcomp, hcomp and tensor2 go through one _product.  The lead of a
+    product is the undeformed product of the two leads: it is made once
+    per op and pair of lead values, and kept with a zero eps part in a
+    memo of 2-cells.  A product whose endpoints do not match raises on
+    every call, as nothing is stored for it.  The eps part is the sum of
+    two bilinear products; one whose eps factor is zero is left out,
+    which is exact, so with both eps parts zero the memo's product is
+    returned as it is.  Every product asked for is still made, with both
+    components.  Zero eps parts are shared, one per endpoint pair."""
 
     def __init__(self, G: GraySemigroup):
         self.G = G
@@ -126,6 +132,10 @@ class _Eps:
         self._inv: dict = {}
         self._zeros: dict = {}
         self._ids: dict = {}
+        # op name -> (op, {(a.lead, b.lead): ECell(lead, zero eps)})
+        self._ops = {"vcomp": (self.C.vcomp, {}),
+                     "hcomp": (self.C.hcomp, {}),
+                     "tensor2": (G.tensor2, {})}
 
     def zero(self, src, tgt) -> TwoMorphism:
         z = self._zeros.get((src, tgt))
@@ -142,20 +152,27 @@ class _Eps:
             e = self._ids[cell] = self.lift(self.C.id2(cell))
         return e
 
-    def _eps_part(self, op, a: ECell, b: ECell, lead) -> TwoMorphism:
-        """op(a.eps, b.lead) + op(a.lead, b.eps) for a bilinear op."""
+    def _product(self, op: str, a: ECell, b: ECell) -> ECell:
+        """op(a, b) for the bilinear op named: op of the leads, from the
+        memo, plus eps times op(a.eps, b.lead) + op(a.lead, b.eps)."""
+        fn, memo = self._ops[op]
+        key = (a.lead, b.lead)
+        lifted = memo.get(key)
+        if lifted is None:
+            lifted = memo[key] = self.lift(fn(a.lead, b.lead))
         is_zero2 = self.C.is_zero2
         if is_zero2(a.eps):
             if is_zero2(b.eps):
-                return self.zero(lead.src, lead.tgt)
-            return op(a.lead, b.eps)
-        if is_zero2(b.eps):
-            return op(a.eps, b.lead)
-        return self.C.add2(op(a.eps, b.lead), op(a.lead, b.eps))
+                return lifted
+            eps = fn(a.lead, b.eps)
+        elif is_zero2(b.eps):
+            eps = fn(a.eps, b.lead)
+        else:
+            eps = self.C.add2(fn(a.eps, b.lead), fn(a.lead, b.eps))
+        return ECell(lifted.lead, eps)
 
     def vcomp(self, a2: ECell, a1: ECell) -> ECell:
-        lead = self.C.vcomp(a2.lead, a1.lead)
-        return ECell(lead, self._eps_part(self.C.vcomp, a2, a1, lead))
+        return self._product("vcomp", a2, a1)
 
     def vcomp_many(self, terms) -> ECell:
         terms = list(terms)
@@ -165,12 +182,10 @@ class _Eps:
         return out
 
     def hcomp(self, b: ECell, a: ECell) -> ECell:
-        lead = self.C.hcomp(b.lead, a.lead)
-        return ECell(lead, self._eps_part(self.C.hcomp, b, a, lead))
+        return self._product("hcomp", b, a)
 
     def tensor2(self, a: ECell, b: ECell) -> ECell:
-        lead = self.G.tensor2(a.lead, b.lead)
-        return ECell(lead, self._eps_part(self.G.tensor2, a, b, lead))
+        return self._product("tensor2", a, b)
 
     def invert(self, a: ECell) -> ECell:
         C = self.C

@@ -266,6 +266,20 @@ def test_oracle_guards(fiber2_text):
     assert code == cli.EXIT_PARSE
 
 
+def test_oracle_past_the_bound_exits_3_before_the_cohomology(
+        fiber2_text, monkeypatch):
+    """A candidate space past the enumeration bound is refused with exit
+    3 and the enumeration's message, before the cohomology is computed."""
+    computed = []
+    monkeypatch.setattr(cli.defcomplex, "cohomology",
+                        lambda G, sel, q: computed.append(q))
+    code, doc = cli.run_oracle(fiber2_text, "tens", bound=1)
+    assert (code, doc) == (cli.EXIT_CAP, {
+        "error": "2^2 candidates exceed the enumeration bound 1; "
+                 "use a smaller model or raise the bound"})
+    assert computed == []
+
+
 def test_commands_free_their_structure(fiber2_text):
     """A command's Gray semigroup is freed when the command returns, not
     at some later full garbage collection: with the collector off, no

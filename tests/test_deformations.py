@@ -509,7 +509,10 @@ def test_transfer_combination_equals_literal_residual(g_fiber2):
 def test_eps_products_skip_only_zero_terms(field_):
     """vcomp, hcomp, tensor2 and invert of eps-pairs, with every pattern
     of zero and nonzero eps parts, equal the formulas that compute both
-    bilinear terms."""
+    bilinear terms.  One _Eps makes every product twice, so the second
+    one reads its memo of lead products; a lead given with int and with
+    equal integral Fraction coefficients gives equal products, and a
+    mismatched vcomp or hcomp raises both times."""
     G = _model("z2-sign", field_)
     C, K = G.base, field_
     E = dm._Eps(G)
@@ -530,8 +533,27 @@ def test_eps_products_skip_only_zero_terms(field_):
         return dm.ECell(op(a.lead, b.lead),
                         C.add2(op(a.eps, b.lead), op(a.lead, b.eps)))
 
+    def products(a, b):
+        out = []
+        for op, plain, x, y, defined in (
+                (E.tensor2, G.tensor2, a, b, True),
+                (E.vcomp, C.vcomp, b, a, a.lead.tgt == b.lead.src),
+                (E.hcomp, C.hcomp, b, a,
+                 C.cell_tgt[a.lead.src] == C.cell_src[b.lead.src])):
+            for _ in range(2):
+                if not defined:
+                    with pytest.raises(ValueError):
+                        op(x, y)
+                    continue
+                got = op(x, y)
+                assert got == full(plain, x, y)
+                if C.is_zero2(x.eps) and C.is_zero2(y.eps):
+                    assert got.eps == C.zero2(got.lead.src, got.lead.tgt)
+                out.append(got)
+        return out
+
     cells = sorted(C.cell_src)
-    checked = 0
+    checked = mismatched = 0
     for f in cells:
         for f2 in C.parallel_targets(f):
             for g in cells:
@@ -540,19 +562,23 @@ def test_eps_products_skip_only_zero_terms(field_):
                                                     repeat=2):
                         a = ecell(rand2(f, f2), za)
                         b = ecell(rand2(g, g2), zb)
-                        assert E.tensor2(a, b) == full(G.tensor2, a, b)
-                        if f2 == g:
-                            assert E.vcomp(b, a) == full(C.vcomp, b, a)
-                        if C.cell_tgt[f] == C.cell_src[g]:
-                            assert E.hcomp(b, a) == full(C.hcomp, b, a)
+                        products(a, b)
+                        ints = tuple(rng.randrange(3)
+                                     for _ in range(C.dim2(f, f2)))
+                        as_int = dm.ECell(TwoMorphism(f, f2, ints), a.eps)
+                        as_fraction = dm.ECell(TwoMorphism(
+                            f, f2, tuple(map(Fraction, ints))), a.eps)
+                        assert products(as_int, b) == \
+                            products(as_fraction, b)
                         checked += 1
+                        mismatched += f2 != g
     for t in G.tensorator_table.values():
         for zero in (True, False):
             a = ecell(t, zero)
             inv = C.invert2(t)
             assert E.invert(a) == dm.ECell(
                 inv, C.neg2(C.vcomp(C.vcomp(inv, a.eps), inv)))
-    assert checked
+    assert checked and mismatched
 
 
 def test_brute_force_keeps_its_literal_checks(g_fiber2, monkeypatch):
