@@ -12,7 +12,6 @@ subprocess.
 
 from __future__ import annotations
 
-import json
 import sys
 
 import click
@@ -230,6 +229,11 @@ def _classify(G: GraySemigroup, mode: str):
 
 
 def run_oracle(text: str, mode: str, bound: int = DEFAULT_ENUM_BOUND):
+    """A bound below 1 admits no candidate and is malformed input
+    (exit 2); a candidate space past the bound exits 3."""
+    if bound < 1:
+        return EXIT_PARSE, {
+            "error": f"--enum-bound must be at least 1, got {bound}"}
     return _on_gray(text, _oracle, mode, bound)
 
 
@@ -303,15 +307,22 @@ def run_export(name: str, field_text: str):
 # ----- click wiring -----------------------------------------------------
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+def _read_input(path: str, out: str | None) -> str:
+    """The text of INPUT ("-" for stdin).  A file that cannot be read, or
+    is not UTF-8, ends the command with exit 2 and a JSON error."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        _finish(EXIT_PARSE, {"error": str(e)}, out)
+    except UnicodeDecodeError as e:
+        _finish(EXIT_PARSE, {"error": f"{path} is not UTF-8: {e}"}, out)
 
 
 def _finish(code: int, doc: dict, out: str | None):
-    text = json.dumps(doc, sort_keys=True, indent=1)
+    text = sc.dumps(doc)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -330,11 +341,7 @@ def main():
 @click.option("--out", default=None, help="Write the report to a file.")
 def cli_validate(input, out):
     """Check a structure file against all structural axioms."""
-    try:
-        text = _read_input(input)
-    except OSError as e:
-        _finish(EXIT_PARSE, {"error": str(e)}, out)
-    _finish(*run_validate(text), out)
+    _finish(*run_validate(_read_input(input, out)), out)
 
 
 @main.command("cohomology")
@@ -348,10 +355,7 @@ def cli_validate(input, out):
 @click.option("--out", default=None)
 def cli_cohomology(input, complex_, degree, max_degree, out):
     """Betti numbers and representatives of a deformation complex."""
-    try:
-        text = _read_input(input)
-    except OSError as e:
-        _finish(EXIT_PARSE, {"error": str(e)}, out)
+    text = _read_input(input, out)
     _finish(*run_cohomology(text, complex_, degree, max_degree), out)
 
 
@@ -362,11 +366,7 @@ def cli_cohomology(input, complex_, degree, max_degree, out):
 @click.option("--out", default=None)
 def cli_classify(input, mode, out):
     """Cohomology-class representatives as first-order deformations."""
-    try:
-        text = _read_input(input)
-    except OSError as e:
-        _finish(EXIT_PARSE, {"error": str(e)}, out)
-    _finish(*run_classify(text, mode), out)
+    _finish(*run_classify(_read_input(input, out), mode), out)
 
 
 @main.command("oracle")
@@ -377,11 +377,7 @@ def cli_classify(input, mode, out):
 @click.option("--out", default=None)
 def cli_oracle(input, mode, enum_bound, out):
     """Compare linear-algebra class counts with brute-force enumeration."""
-    try:
-        text = _read_input(input)
-    except OSError as e:
-        _finish(EXIT_PARSE, {"error": str(e)}, out)
-    _finish(*run_oracle(text, mode, enum_bound), out)
+    _finish(*run_oracle(_read_input(input, out), mode, enum_bound), out)
 
 
 @main.command("export")

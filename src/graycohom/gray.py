@@ -14,8 +14,8 @@ objects, 1-cells and their images when it is made; its 2-cell map, its
 coherence cells fhat and the 1-cell composition and Hom2 dimension
 tables of C^n are each built whole the first time they are read, so a
 caller that reads only the 1-cells of C^5 never builds the rest.  C^n
-has no 2-cell table: its products recurse through its factors to the
-constants of C (twocat.ProductCategory).
+has no 2-cell table: the basis products of its vcomp and hcomp recurse
+through its factors to the constants of C (twocat.ProductCategory).
 
 Every table derived from a structure (tensor powers here, cochain spaces
 and differentials in defcomplex, equation systems in deformations) is
@@ -93,9 +93,10 @@ class GraySemigroup:
         key = (a.src, a.tgt, b.src, b.tgt)
         plan = self._tensor2_plans.get(key)
         if plan is None:
-            plan = self._tensor2_plans[key] = self.base.plan(
-                self.tcell(a.src, b.src), self.tcell(a.tgt, b.tgt),
-                self.tensor2_const.get(key))
+            src, tgt = self.tcell(a.src, b.src), self.tcell(a.tgt, b.tgt)
+            plan = self._tensor2_plans[key] = (
+                src, tgt, self.base.dim2(src, tgt),
+                self.tensor2_const.get(key, {}), self.base._p)
         return apply_plan(plan, a.coeffs, b.coeffs)
 
     def tensor2_many(self, terms):

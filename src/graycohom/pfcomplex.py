@@ -409,12 +409,11 @@ class PFCochain:
     vector: Vector
 
 
-def delta_pf(F: Pseudofunctor, phi: PFCochain,
-             cap: int = DEFAULT_DEGREE_CAP) -> PFCochain:
+def delta_pf(F: Pseudofunctor, phi: PFCochain) -> PFCochain:
     """The differential applied to a single cochain; output naturality is
     checked against the degree-(n+1) constraint system."""
     space_n = phi.space
-    space_n1 = pf_cochain_basis(F, space_n.degree + 1, cap)
+    space_n1 = pf_cochain_basis(F, space_n.degree + 1)
     M = delta_pf_matrix(F, space_n, space_n1)
     out = M.mul_vector(phi.vector)
     residue = space_n1.constraints.mul_vector(out)
@@ -448,11 +447,11 @@ def _cohomology_core(field_, delta_prev_cols, cocycle_matrix):
     return dim, reps, rank_prev
 
 
-def pf_cohomology(F: Pseudofunctor, n: int, cap: int = DEFAULT_DEGREE_CAP):
+def pf_cohomology(F: Pseudofunctor, n: int):
     """dim H^n(F) and representative cocycles (free-coordinate vectors)."""
-    space_prev = pf_cochain_basis(F, n - 1, cap)
-    space_n = pf_cochain_basis(F, n, cap)
-    space_next = pf_cochain_basis(F, n + 1, cap)
+    space_prev = pf_cochain_basis(F, n - 1)
+    space_n = pf_cochain_basis(F, n)
+    space_next = pf_cochain_basis(F, n + 1)
     D_n = delta_pf_matrix(F, space_n, space_next)
     D_prev = delta_pf_matrix(F, space_prev, space_n)
     cocycle = vstack(D_n, space_n.constraints)
@@ -494,11 +493,11 @@ class PFClassification:
     deformations of the coherence data and test equivalence by solving for
     a degree-1 gauge cochain."""
 
-    def __init__(self, F: Pseudofunctor, cap: int = DEFAULT_DEGREE_CAP):
+    def __init__(self, F: Pseudofunctor):
         self.F = F
-        self.space1 = pf_cochain_basis(F, 1, cap)
-        self.space2 = pf_cochain_basis(F, 2, cap)
-        self.space3 = pf_cochain_basis(F, 3, cap)
+        self.space1 = pf_cochain_basis(F, 1)
+        self.space2 = pf_cochain_basis(F, 2)
+        self.space3 = pf_cochain_basis(F, 3)
         self.delta1 = delta_pf_matrix(F, self.space1, self.space2)
         self.delta2 = delta_pf_matrix(F, self.space2, self.space3)
 

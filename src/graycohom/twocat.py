@@ -8,17 +8,19 @@ with a validator that returns complete witness lists.
 
 Every product of 2-cells (vcomp, hcomp here, tensor2 in gray) runs
 through a plan: a tuple (src, tgt, dim, consts, p) holding the output
-endpoints, the output dimension, a reference to the product's structure
-constants at its endpoint key and the field's modulus (None over Q).  A
-plan is made, with the endpoint checks, the first time its key is used,
-and kept for the life of the structure; every later product at that key
-is one dict lookup and apply_plan.  The coefficient arithmetic is native
-``*`` and ``+`` on ints and Fractions, and over F_p each output
-coefficient is reduced once, as in SparseMatrix.mul_vectors;
-Pseudofunctor.map2 uses the same arithmetic.  A product category
-(ProductCategory, the powers C^n) has plans of its own and no structure
-constants: its products recurse through its factors to the constants of
-the base categories.
+endpoints, the output dimension, the basis products at the product's
+endpoint key and the field's modulus (None over Q).  A 2-category makes
+vcomp and hcomp through one method, product, with one plan cache keyed
+by (op, key); a plan is made, with the endpoint checks, the first time
+its key is used, and every later product at that key is one dict lookup
+and apply_plan.  The basis products are the structure constants of a
+base 2-category, a table walked whole; a product category (the powers
+C^n) has none and gives instead a function of the pair of basis indices,
+the outer product of its factors' basis products, called only at pairs
+of nonzero coefficients.  The coefficient arithmetic is native ``*`` and
+``+`` on ints and Fractions, and over F_p each output coefficient is
+reduced once, as in SparseMatrix.mul_vectors; Pseudofunctor.map2 uses
+the same arithmetic.
 """
 
 from __future__ import annotations
@@ -75,10 +77,10 @@ class TwoCategory:
       vcomp_const        -- (f, f1, f2) -> {(j, i): {k: scalar}}
       hcomp_const        -- (g, g2, f, f2) -> {(j, i): {k: scalar}}
 
-    vcomp and hcomp keep one plan (see the module docstring) per endpoint
-    key, (f, f1, f2) and (g, g2, f, f2) as in the tables, made on first
-    use with the endpoint checks.  add2, neg2, scale2 and eq2 use the
-    same native arithmetic, reduced once per coefficient over F_p.
+    vcomp and hcomp are product at the endpoint keys (f, f1, f2) and
+    (g, g2, f, f2) of the tables; product keeps one plan (see the module
+    docstring) per (op, key).  add2, neg2, scale2 and eq2 use the same
+    native arithmetic, reduced once per coefficient over F_p.
     """
 
     def __init__(self, field_: Field, objects, one_cells, cell_src, cell_tgt,
@@ -98,8 +100,7 @@ class TwoCategory:
         self._p = _modulus(field_)
         self._id2_cache = {}
         self._parallel_cache = {}
-        self._vcomp_plans = {}
-        self._hcomp_plans = {}
+        self._plans = {}
 
     # ----- basic accessors ---------------------------------------------
 
@@ -190,29 +191,40 @@ class TwoCategory:
         zero is falsy; an unreduced residue such as p counts as nonzero."""
         return not any(a.coeffs)
 
-    def plan(self, src, tgt, consts) -> tuple:
-        """The plan of a product into Hom2(src, tgt) with the structure
-        constants consts (None when there are none)."""
-        return (src, tgt, self.dim2(src, tgt), consts, self._p)
+    def endpoints(self, op, key) -> tuple:
+        """The output 1-cells (src, tgt) of op ("vcomp" or "hcomp") at key:
+        (f, f2) at (f, f1, f2), and (g o f, g2 o f2) at (g, g2, f, f2),
+        which raises unless f ends where g starts."""
+        if op == "vcomp":
+            return key[0], key[2]
+        g, g2, f, f2 = key
+        if self.cell_tgt[f] != self.cell_src[g]:
+            raise ValueError("horizontal composition mismatch")
+        return self.compose(g, f), self.compose(g2, f2)
 
     def basis_products(self, op, key):
-        """The function (j, i) -> {k: scalar} giving op ("vcomp" or
-        "hcomp") at key on left basis 2-cell j and right basis 2-cell i:
-        here a lookup in the structure constants."""
+        """The products of op at key of left basis 2-cell j and right
+        basis 2-cell i: here the structure constants {(j, i): {k:
+        scalar}} at key, which apply_plan walks whole."""
         table = self.vcomp_const if op == "vcomp" else self.hcomp_const
-        consts = table.get(key, {})
-        return lambda j, i: consts.get((j, i), {})
+        return table.get(key, {})
+
+    def product(self, op, key, x: TwoMorphism, y: TwoMorphism) -> TwoMorphism:
+        """op ("vcomp" or "hcomp") at its endpoint key of x (left) and y
+        (right), through the plan of (op, key)."""
+        plan = self._plans.get((op, key))
+        if plan is None:
+            src, tgt = self.endpoints(op, key)
+            plan = self._plans[(op, key)] = (
+                src, tgt, self.dim2(src, tgt), self.basis_products(op, key),
+                self._p)
+        return apply_plan(plan, x.coeffs, y.coeffs)
 
     def vcomp(self, t2: TwoMorphism, t1: TwoMorphism) -> TwoMorphism:
         """Vertical composite t2 . t1 for t1: f => f1, t2: f1 => f2."""
         if t1.tgt != t2.src:
             raise ValueError(f"vertical composition mismatch: {t1.tgt} vs {t2.src}")
-        key = (t1.src, t1.tgt, t2.tgt)
-        plan = self._vcomp_plans.get(key)
-        if plan is None:
-            plan = self._vcomp_plans[key] = self.plan(
-                key[0], key[2], self.vcomp_const.get(key))
-        return apply_plan(plan, t2.coeffs, t1.coeffs)
+        return self.product("vcomp", (t1.src, t1.tgt, t2.tgt), t2, t1)
 
     def vcomp_many(self, terms):
         """Vertical composite t_n . ... . t_1 from a list [t_n, ..., t_1]."""
@@ -224,16 +236,7 @@ class TwoCategory:
 
     def hcomp(self, tg: TwoMorphism, tf: TwoMorphism) -> TwoMorphism:
         """Horizontal composite tg o tf (tg on the left of the diagram)."""
-        key = (tg.src, tg.tgt, tf.src, tf.tgt)
-        plan = self._hcomp_plans.get(key)
-        if plan is None:
-            g, g2, f, f2 = key
-            if self.cell_tgt[f] != self.cell_src[g]:
-                raise ValueError("horizontal composition mismatch")
-            plan = self._hcomp_plans[key] = self.plan(
-                self.compose(g, f), self.compose(g2, f2),
-                self.hcomp_const.get(key))
-        return apply_plan(plan, tg.coeffs, tf.coeffs)
+        return self.product("hcomp", (tg.src, tg.tgt, tf.src, tf.tgt), tg, tf)
 
     def hcomp_many(self, terms):
         """Horizontal composite t_0 o t_1 o ... o t_k (diagram order)."""
@@ -269,19 +272,30 @@ class TwoCategory:
 
 def apply_plan(plan, a, b) -> TwoMorphism:
     """The product of a plan (src, tgt, dim, consts, p) at the coefficient
-    tuples a and b: the sum over (j, i) in consts of a[j] * b[i] * consts[(j,
-    i)], in the table's order, leaving out a pair whose coefficient product
-    is zero; over F_p (p not None) each output coefficient is reduced once."""
+    tuples a and b: the sum over pairs (j, i) of a[j] * b[i] times the
+    basis product {k: scalar} of j and i, leaving out a pair whose
+    coefficient product is zero.  consts is either a table {(j, i): {k:
+    scalar}}, walked in its order, or a function (j, i) -> {k: scalar},
+    called at the pairs of nonzero coefficients only.  Over F_p (p not
+    None) each output coefficient is reduced once."""
     src, tgt, dim, consts, p = plan
     out = [0] * dim
-    if consts:
+    if callable(consts):
+        nonzero = [(i, y) for i, y in enumerate(b) if y]
+        for j, x in enumerate(a):
+            if x:
+                for i, y in nonzero:
+                    c = x * y
+                    for k, v in consts(j, i).items():
+                        out[k] += c * v
+    else:
         for (j, i), vec in consts.items():
             c = a[j] * b[i]
             if c:
                 for k, v in vec.items():
                     out[k] += c * v
-        if p is not None:
-            out = [x % p for x in out]
+    if p is not None:
+        out = [x % p for x in out]
     return TwoMorphism(src, tgt, tuple(out))
 
 
@@ -423,13 +437,11 @@ class ProductCategory(TwoCategory):
     one_cells holds only the object pairs with 1-cells.  compose1 and
     hom2_dim are each built whole from the factors when first read.  No
     2-cell table is built: id2 is the Kronecker product of the factors'
-    identities, and a product of a (left) and b (right) sums, over the
-    nonzero a_j and b_i, a_j * b_i times the Kronecker product of A's and
-    B's basis_products at (j_A, i_A) and (j_B, i_B).  A recurses through
-    its own factors, so C^n reads only the constants of C.  The plan of
-    an endpoint key, made on first use with the endpoint checks of
-    TwoCategory, holds the output endpoints and dimension and the basis
-    product function.  Over F_p each output coefficient is reduced once."""
+    identities, and vcomp and hcomp are TwoCategory's, with
+    basis_products giving the basis product of (j_A, j_B) and (i_A, i_B)
+    as the Kronecker product of A's at (j_A, i_A) and B's at (j_B, i_B).
+    A recurses through its own factors, so C^n reads only the constants
+    of C."""
 
     def __init__(self, A: TwoCategory, B: TwoCategory):
         self.field = A.field
@@ -491,58 +503,35 @@ class ProductCategory(TwoCategory):
                 for x in A.id2(f[:-1]).coeffs for y in B.id2(f[-1]).coeffs))
         return cached
 
-    def vcomp(self, t2: TwoMorphism, t1: TwoMorphism) -> TwoMorphism:
-        if t1.tgt != t2.src:
-            raise ValueError(f"vertical composition mismatch: {t1.tgt} vs {t2.src}")
-        return self._product("vcomp", (t1.src, t1.tgt, t2.tgt), t2, t1)
-
-    def hcomp(self, tg: TwoMorphism, tf: TwoMorphism) -> TwoMorphism:
-        return self._product("hcomp", (tg.src, tg.tgt, tf.src, tf.tgt),
-                             tg, tf)
-
-    def _plan(self, op, key) -> tuple:
-        """The plan (src, tgt, dim, basis products) of op at key."""
-        plan = self._plans.get((op, key))
-        if plan is None:
-            A, B = self.factors
-            kb = tuple(c[-1] for c in key)
-            if op == "vcomp":
-                src, tgt, x, y = key[0], key[2], kb[1:], kb[:2]
-            else:
-                g, g2, f, f2 = key
-                if self.cell_tgt[f] != self.cell_src[g]:
-                    raise ValueError("horizontal composition mismatch")
-                src, tgt, x, y = (self.compose(g, f), self.compose(g2, f2),
-                                  kb[:2], kb[2:])
-            basis_a = A.basis_products(op, tuple(c[:-1] for c in key))
-            basis_b = B.basis_products(op, kb)
-            dx, dy, d = B.dim2(*x), B.dim2(*y), B.dim2(src[-1], tgt[-1])
-
-            def basis(j, i):
-                # the outer product of A's and B's basis products, less
-                # its zero entries
-                ja, jb = divmod(j, dx)
-                ia, ib = divmod(i, dy)
-                u = basis_a(ja, ia)
-                v = basis_b(jb, ib) if u else {}
-                return {a * d + b: s * t for a, s in u.items() if s
-                        for b, t in v.items() if t}
-
-            plan = self._plans[(op, key)] = (src, tgt, self.dim2(src, tgt),
-                                             basis)
-        return plan
-
     def basis_products(self, op, key):
-        return self._plan(op, key)[3]
+        """The outer product of A's and B's basis products of op at the
+        factor keys, as a function (j, i) -> {k: scalar} with its zero
+        entries left out."""
+        A, B = self.factors
+        kb = tuple(c[-1] for c in key)
+        x, y = (kb[1:], kb[:2]) if op == "vcomp" else (kb[:2], kb[2:])
+        basis_a = _basis_function(A.basis_products(op, tuple(c[:-1]
+                                                            for c in key)))
+        basis_b = _basis_function(B.basis_products(op, kb))
+        dx, dy, d = B.dim2(*x), B.dim2(*y), B.dim2(*B.endpoints(op, kb))
 
-    def _product(self, op, key, x, y) -> TwoMorphism:
-        """op of x (left) and y (right) at key: apply_plan with the basis
-        products at the pairs of nonzero coefficients as constants."""
-        src, tgt, dim, basis = self._plan(op, key)
-        ys = [i for i, b in enumerate(y.coeffs) if b]
-        consts = {(j, i): basis(j, i)
-                  for j, a in enumerate(x.coeffs) if a for i in ys}
-        return apply_plan((src, tgt, dim, consts, self._p), x.coeffs, y.coeffs)
+        def basis(j, i):
+            ja, jb = divmod(j, dx)
+            ia, ib = divmod(i, dy)
+            u = basis_a(ja, ia)
+            v = basis_b(jb, ib) if u else {}
+            return {a * d + b: s * t for a, s in u.items() if s
+                    for b, t in v.items() if t}
+
+        return basis
+
+
+def _basis_function(consts):
+    """Basis products given as a table or as a function, as a function
+    (j, i) -> {k: scalar}."""
+    if callable(consts):
+        return consts
+    return lambda j, i: consts.get((j, i), {})
 
 
 def product_many(cats: list[TwoCategory]) -> TwoCategory:

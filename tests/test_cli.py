@@ -280,6 +280,19 @@ def test_oracle_past_the_bound_exits_3_before_the_cohomology(
     assert computed == []
 
 
+@pytest.mark.parametrize("bound", [0, -5])
+def test_oracle_bound_below_1_exits_2(fiber2_text, bound):
+    """An enumeration bound below 1 admits no candidate: it is malformed
+    input, refused with exit 2 before the structure is read."""
+    want = {"error": f"--enum-bound must be at least 1, got {bound}"}
+    assert cli.run_oracle(fiber2_text, "tens", bound) == (cli.EXIT_PARSE,
+                                                          want)
+    res = CliRunner().invoke(cli.main, ["oracle", "-", "--enum-bound",
+                                        str(bound)], input=fiber2_text)
+    assert res.exit_code == cli.EXIT_PARSE
+    assert json.loads(res.output) == want
+
+
 def test_commands_free_their_structure(fiber2_text):
     """A command's Gray semigroup is freed when the command returns, not
     at some later full garbage collection: with the collector off, no
@@ -343,6 +356,24 @@ def test_click_end_to_end(tmp_path):
     assert json.loads(res.output)["verdict"] == "AGREE"
     res = runner.invoke(cli.main, ["validate", str(tmp_path / "missing.json")])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "cohomology", "classify",
+                                     "oracle"])
+def test_input_that_is_not_utf8_exits_2(tmp_path, command):
+    """A file whose bytes are not UTF-8 ends every command that reads one
+    with exit 2 and a JSON error naming the file, also with --out."""
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00")
+    runner = CliRunner()
+    res = runner.invoke(cli.main, [command, str(bad)])
+    assert res.exit_code == cli.EXIT_PARSE, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert json.loads(res.output)["error"].startswith(f"{bad} is not UTF-8")
+    out = tmp_path / "out.json"
+    res = runner.invoke(cli.main, [command, str(bad), "--out", str(out)])
+    assert res.exit_code == cli.EXIT_PARSE
+    assert "is not UTF-8" in json.loads(out.read_text())["error"]
 
 
 def test_scaled_tensorator_entry_exits_1(sign3_text):
