@@ -63,34 +63,23 @@ SELECTION_KINDS = ("tens_ass", "ass", "tens", "pent_restricted",
 
 
 @dataclass
-class BicomplexSpace:
+class BicomplexSpace(Layout):
     """X_s^{m,n}: the cochains of X^{m,n} that vanish on tuples with an
-    all-identities slot."""
+    all-identities slot.  Its layout is that of pf, the cochain space of
+    X^{m,n}, whose naturality constraints it extends."""
 
     G: GraySemigroup
     m: int
     n: int
-    pf: CochainSpace          # free coordinates and naturality constraints
+    pf: CochainSpace
 
     @cached_property
     def constraints(self) -> SparseMatrix:
         """Naturality and identity-slot vanishing; computed on first use."""
         K = self.G.base.field
         coords = identity_slot_coordinates(self.G, self.pf)
-        extra = from_rows([{c: K.one()} for c in coords], self.pf.dim_free, K)
+        extra = from_rows([{c: K.one()} for c in coords], self.dim_free, K)
         return vstack(self.pf.constraints, extra)
-
-    @cached_property
-    def basis(self) -> list:
-        return kernel_basis(self.constraints)
-
-    @property
-    def dim_free(self):
-        return self.pf.dim_free
-
-    @property
-    def slots(self):
-        return self.pf.slots
 
 
 def identity_slot_coordinates(G: GraySemigroup, pf: CochainSpace):
@@ -106,8 +95,8 @@ def identity_slot_coordinates(G: GraySemigroup, pf: CochainSpace):
 
 @per_structure
 def bicomplex_space(G: GraySemigroup, m: int, n: int) -> BicomplexSpace:
-    return BicomplexSpace(G, m, n, pf_cochain_basis(tensor_power(G, n + 1),
-                                                    m + 1, cap=_PF_CAP))
+    pf = pf_cochain_basis(tensor_power(G, n + 1), m + 1, cap=_PF_CAP)
+    return BicomplexSpace(G, m, n, pf, slots=pf.slots, dim_free=pf.dim_free)
 
 
 @per_structure
@@ -248,10 +237,6 @@ class PentSpace(Layout):
     def constraints(self) -> SparseMatrix:
         return SparseMatrix(0, self.dim_free, self.G.base.field)
 
-    @cached_property
-    def basis(self) -> list:
-        return kernel_basis(self.constraints)
-
 
 def _object_tuples(G: GraySemigroup, k: int):
     import itertools
@@ -375,8 +360,8 @@ def _summands(kind: str, q: int):
 
 def summand_space(G: GraySemigroup, desc):
     """The space of one summand: X_s^{m,n} for ("bi", m, n), the
-    pentagonator space of degree d for ("pent", d).  Both give the layout
-    (slots, dim_free) and their own constraints and basis."""
+    pentagonator space of degree d for ("pent", d).  Both are Layouts,
+    each with its own constraints."""
     if desc[0] == "bi":
         return bicomplex_space(G, desc[1], desc[2])
     return pent_space(G, desc[1])
@@ -484,27 +469,24 @@ def total_differential(G: GraySemigroup, sel: ComplexSelection,
                        q: int) -> SparseMatrix:
     """The differential from total degree q to q + 1: every differential
     of _leaving from a degree-q summand to a degree-(q + 1) summand, times
-    its sign, is one Assembler term at the offsets of its two summands."""
+    its sign, placed at the offsets of its two summands.  Blocks out of
+    different summands have disjoint columns and blocks into different
+    summands disjoint rows, so no two blocks share an entry."""
     K = G.base.field
     src = total_space(G, sel, q)
     tgt = total_space(G, sel, q + 1)
-    src_off = dict(zip(src.summands, src.offsets))
     tgt_off = dict(zip(tgt.summands, tgt.offsets))
-    blocks = {(sdesc, tdesc): (sign, build)
-              for sdesc in src.summands
-              for tdesc, sign, build in _leaving(G, sdesc).values()
-              if tdesc in tgt_off}
-
-    def make(key):
-        sign, build = blocks[key]
-        s = K.from_int(sign)
-        return [(i, j, K.mul(s, v)) for i, row in enumerate(build().by_row)
-                for j, v in row.items()]
-
-    asm = Assembler(tgt.dim_free, src.dim_free, K, make)
-    for sdesc, tdesc in blocks:
-        asm.add((sdesc, tdesc), tgt_off[tdesc], src_off[sdesc])
-    return asm.matrix()
+    rows = [{} for _ in range(tgt.dim_free)]
+    for sdesc, col0 in zip(src.summands, src.offsets):
+        for tdesc, sign, build in _leaving(G, sdesc).values():
+            row0 = tgt_off.get(tdesc)
+            if row0 is None:
+                continue
+            for i, row in enumerate(build().by_row):
+                out = rows[row0 + i]
+                for j, v in row.items():
+                    out[col0 + j] = v if sign == 1 else K.neg(v)
+    return from_rows(rows, src.dim_free, K)
 
 
 def assemble_complex(G: GraySemigroup, sel: ComplexSelection):

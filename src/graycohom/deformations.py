@@ -39,7 +39,7 @@ from .exactlinalg import (
     vec_combine,
 )
 from .gray import GraySemigroup, per_structure
-from .pfcomplex import nonidentity_basis
+from .pfcomplex import composable_tuples, nonidentity_basis
 from .twocat import TwoMorphism, ValidationReport
 
 DEFAULT_ENUM_BOUND = 2 ** 20
@@ -364,11 +364,6 @@ class _Equations:
     def _add(self, name, key, fn):
         self.instances.append((name, key, fn))
 
-    def _composable(self, cells):
-        C = self.C
-        return [(fp, f) for fp in cells for f in cells
-                if C.cell_tgt[f] == C.cell_src[fp]]
-
     def residual(self, fn, ctx: _DataContext) -> TwoMorphism:
         return fn(ctx)
 
@@ -496,7 +491,7 @@ class _StructuralSystem(_Equations):
         cells = sorted(C.cell_src)
         objs = sorted(C.objects)
         idc = C.identity_cell
-        comp = self._composable(cells)
+        comp = composable_tuples(C, 2)
         pairs2 = [(f, g) for f in cells for g in cells]
         comp2 = [((fp, gp), (f, g)) for (fp, f) in comp for (gp, g) in comp]
 
@@ -524,10 +519,9 @@ class _StructuralSystem(_Equations):
                     self._add("tensor-naturality", (pp, p, s), fn)
 
         # cocycle rule of the tensorator on composable triples
-        for (fpp, fp, f) in [(a, b, c) for (a, b) in comp for c in cells
-                             if C.cell_tgt[c] == C.cell_src[b]]:
-            for (gpp, gp, g) in [(a, b, c) for (a, b) in comp for c in cells
-                                 if C.cell_tgt[c] == C.cell_src[b]]:
+        comp3 = composable_tuples(C, 3)
+        for (fpp, fp, f) in comp3:
+            for (gpp, gp, g) in comp3:
 
                 def fn(dc, fpp=fpp, fp=fp, f=f, gpp=gpp, gp=gp, g=g):
                     lhs = E.vcomp(
@@ -770,7 +764,7 @@ class _EquivalenceSystem(_Equations):
         idc = C.identity_cell
         cells = sorted(C.cell_src)
         objs = sorted(C.objects)
-        comp = self._composable(cells)
+        comp = composable_tuples(C, 2)
 
         # naturality of the gauge 2-cells
         for f in cells:
@@ -1344,7 +1338,7 @@ class ExtendedStructure:
 
         cells = sorted(C.cell_src)
         objs = sorted(C.objects)
-        comp = _structural_system(G)._composable(cells)
+        comp = composable_tuples(C, 2)
         for (fp, f) in comp:
             for (gp, g) in comp:
                 check_invertible("tensorator", ((fp, gp), (f, g)),

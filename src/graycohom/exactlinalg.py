@@ -492,7 +492,8 @@ def solve_in_image(M: SparseMatrix, b: Vector) -> Vector | None:
     """Some x with M x = b exactly, or None if b is not in the image.
 
     x is read off the RREF of [M | b]: zero in the free columns, b's
-    reduced entry in each pivot column."""
+    reduced entry in each pivot column.  Such an x solves M x = b, so an x
+    that does not is a fault, and raises AssertionError."""
     if b.length != M.rows:
         raise ValueError("dimension mismatch")
     K = M.field
@@ -504,9 +505,9 @@ def solve_in_image(M: SparseMatrix, b: Vector) -> Vector | None:
     sol = Vector(M.cols, {c: row[aug] for c, row in sorted(pivot_rows.items())
                           if aug in row})
     # exactness guard: the contract is M x = b exactly
-    Mx = M.mul_vector(sol)
-    diff_keys = set(Mx.entries) | set(b.entries)
-    for i in diff_keys:
-        if not K.is_zero(K.sub(Mx.entries.get(i, zero), b.entries.get(i, zero))):
-            return None
+    Mx = M.mul_vector(sol).entries
+    bad = [i for i in Mx.keys() | b.entries.keys()
+           if not K.is_zero(K.sub(Mx.get(i, zero), b.entries.get(i, zero)))]
+    if bad:
+        raise AssertionError(f"the solution misses b in row {min(bad)}")
     return sol

@@ -7,8 +7,10 @@ and on the right and merges each adjacent pair, with canonical paddings
 supplied by gray.pad.  Cohomology in degree 2 classifies first-order
 unitary deformations of the coherence data of F.
 
-place lays out every cochain space of the package, in its slots table,
-and the Assembler builds every naturality system and differential.
+place lays out every cochain space of the package, in its slots table;
+Layout gives every space its basis, the kernel of its constraints.  The
+Assembler builds every naturality system and every differential between
+two cochain spaces.
 """
 
 from __future__ import annotations
@@ -56,10 +58,23 @@ def composable_tuples(C, n):
 class Layout:
     """The coordinate layout of a cochain space, filled by place.  slots,
     the one layout table, maps each tuple, in coordinate order, to (first
-    coordinate, fiber dimension, src, tgt)."""
+    coordinate, fiber dimension, src, tgt).
+
+    Each kind of space supplies its own constraints, a matrix on the
+    dim_free coordinates; its cochains, and so its basis, are the kernel
+    of that matrix."""
 
     slots: dict = field(default_factory=dict, kw_only=True)
     dim_free: int = field(default=0, kw_only=True)
+
+    @cached_property
+    def basis(self) -> list:
+        """Kernel basis of the constraints; computed on first use."""
+        return kernel_basis(self.constraints)
+
+    @property
+    def dimension(self):
+        return len(self.basis)
 
     @cached_property
     def pos(self) -> dict:
@@ -78,19 +93,10 @@ class CochainSpace(Layout):
     F: Pseudofunctor
     degree: int
 
-    @property
-    def dimension(self):
-        return len(self.basis)
-
     @cached_property
     def constraints(self) -> SparseMatrix:
         """Per-slot naturality system; computed on first use."""
         return naturality_matrix(self)
-
-    @cached_property
-    def basis(self) -> list:
-        """Kernel basis of the naturality system; computed on first use."""
-        return kernel_basis(self.constraints)
 
     def value(self, vec: Vector, t) -> TwoMorphism:
         """The 2-morphism a coordinate vector assigns to tuple t."""
@@ -252,8 +258,7 @@ class Assembler:
     each distinct value (src, tgt, coefficients), so equal keys give
     equal operators; delta_pf_matrix
     and delta_v_matrix number their tuples' 1-cells too, so the per-term
-    lookups hash tuples of small ints.  total_differential adds whole
-    blocks, one term per block.
+    lookups hash tuples of small ints.
 
     An operator is a sequence of entries (k, b, v): v is coefficient k of
     the image of input basis element b, and lands at row row0 + k and

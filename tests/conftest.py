@@ -53,6 +53,25 @@ from graycohom.gray import GraySemigroup
 from graycohom.twocat import TwoCategory
 
 
+def dense_rank(rows, p):
+    """Rank over F_p of a list of dense rows, by Gauss-Jordan elimination:
+    the tests' own elimination, independent of exactlinalg."""
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i, r in enumerate(rows):
+            if i != rank and r[c]:
+                rows[i] = [(x - r[c] * y) % p for x, y in zip(r, rows[rank])]
+        rank += 1
+    return rank
+
+
 def make_model(base, fiber, bichar, field_):
     spec = GroupModelSpec(base, fiber, bichar(fiber, field_), field_)
     spec.validate()

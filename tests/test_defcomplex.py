@@ -1,10 +1,13 @@
 """Total deformation complexes: square-zero laws, commuting squares, the
 special subspace, Betti numbers cross-checked against an independent
 bar-resolution computation for the pentagonator tower, the coordinate
-layout, and Model A, whose fibers have dimension 2."""
+layout, the total differential as its signed blocks, the size of every
+kind of cochain basis against a dense rank, and Model A, whose fibers
+have dimension 2."""
 
 import pytest
 
+from conftest import dense_rank, make_model
 from graycohom import cli, schema as sc
 from graycohom.defcomplex import (
     CapExceeded,
@@ -19,10 +22,17 @@ from graycohom.defcomplex import (
     identity_slot_coordinates,
     pent_space,
     phi_matrix,
+    summand_space,
     total_differential,
     total_space,
 )
-from graycohom.exactlinalg import SparseMatrix, from_columns, kernel_basis, rank
+from graycohom.exactlinalg import (
+    QQ,
+    SparseMatrix,
+    from_columns,
+    rank,
+)
+from graycohom.examples import cyclic_group, sign_bicharacter
 from graycohom.gray import validate_gray
 
 
@@ -180,3 +190,80 @@ def test_model_a_validates_round_trips_and_squares_to_zero(model_a2):
 def test_model_a_oracle_agrees(model_a2, mode):
     code, doc = cli.run_oracle(sc.dumps(sc.gray_to_json(model_a2)), mode)
     assert code == cli.EXIT_OK and doc["verdict"] == "AGREE"
+
+
+@pytest.fixture(scope="module")
+def g_sign_q():
+    return make_model(cyclic_group(2), cyclic_group(2), sign_bicharacter, QQ)
+
+
+def _blocks(G, src, tgt):
+    """(target summand, source summand, sign, matrix) of every differential
+    between two summands, with the signs of the README: delta_h carries
+    (-1)^n out of X^{m,n}, delta_v and phi +1, delta_pent -1."""
+    out = []
+    for s in src:
+        for t in tgt:
+            if s[0] == t[0] == "bi" and t == ("bi", s[1] + 1, s[2]):
+                out.append((t, s, (-1) ** s[2], delta_h_matrix(G, *s[1:])))
+            elif s[0] == t[0] == "bi" and t == ("bi", s[1], s[2] + 1):
+                out.append((t, s, 1, delta_v_matrix(G, *s[1:])))
+            elif s[0] == "pent" and t == ("bi", 0, s[1]):
+                out.append((t, s, 1, phi_matrix(G, s[1])))
+            elif s[0] == t[0] == "pent" and t == ("pent", s[1] + 1):
+                out.append((t, s, -1, delta_pent_matrix(G, s[1])))
+    return out
+
+
+@pytest.mark.parametrize("kind", SELECTION_KINDS)
+@pytest.mark.parametrize("model", ["g_sign3", "g_sign_q", "model_a2"])
+def test_total_differential_is_its_blocks(request, model, kind):
+    """Each differential between two summands, times its sign, sits at the
+    offsets of its summands; no two blocks meet and nothing lies outside
+    them."""
+    G = request.getfixturevalue(model)
+    K = G.base.field
+    sel = ComplexSelection(kind)
+    for q in range(1, sel.qmax + 1):
+        src, tgt = total_space(G, sel, q), total_space(G, sel, q + 1)
+        col = dict(zip(src.summands, src.offsets))
+        row = dict(zip(tgt.summands, tgt.offsets))
+        want = {}
+        for t, s, sign, M in _blocks(G, src.summands, tgt.summands):
+            assert (M.rows, M.cols) == (summand_space(G, t).dim_free,
+                                        summand_space(G, s).dim_free)
+            for (i, j), v in M.entries.items():
+                key = (row[t] + i, col[s] + j)
+                assert key not in want
+                want[key] = K.mul(K.from_int(sign), v)
+        D = total_differential(G, sel, q)
+        assert (D.rows, D.cols) == (tgt.dim_free, src.dim_free)
+        assert D.entries == want
+
+
+_SPACES = {
+    "CochainSpace": [lambda G, m=m, n=n: bicomplex_space(G, m, n).pf
+                     for m, n in ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))],
+    "BicomplexSpace": [lambda G, m=m, n=n: bicomplex_space(G, m, n)
+                       for m, n in ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))],
+    "PentSpace": [lambda G, d=d: pent_space(G, d) for d in range(3)],
+}
+
+
+@pytest.mark.parametrize("kind", list(_SPACES))
+@pytest.mark.parametrize("model", ["g_sign3", "model_a2"])
+def test_space_basis_is_the_kernel_of_its_constraints(request, model, kind):
+    """Each kind of cochain space has dim_free - rank(constraints) basis
+    vectors, the rank taken by dense elimination, and its constraints
+    vanish on every one of them."""
+    G = request.getfixturevalue(model)
+    p = G.base.field.p
+    for make in _SPACES[kind]:
+        sp = make(G)
+        assert type(sp).__name__ == kind
+        dense = [[row.get(j, 0) for j in range(sp.dim_free)]
+                 for row in sp.constraints.by_row]
+        assert len(sp.basis) == sp.dim_free - dense_rank(dense, p)
+        for v in sp.basis:
+            assert all(sum(a * v.entries.get(j, 0) for j, a in enumerate(row))
+                       % p == 0 for row in dense)

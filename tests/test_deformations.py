@@ -651,6 +651,14 @@ pf.kernel_basis = lambda M: kernel_basis(M) * 2
 print(raised(lambda: pf._cohomology_core(K, [], SparseMatrix(1, 2, K))))
 pf.kernel_basis = kernel_basis
 
+import graycohom.exactlinalg as el
+mul_vector = el.SparseMatrix.mul_vector
+el.SparseMatrix.mul_vector = lambda M, v: el.Vector(
+    M.rows, {0: K.add(mul_vector(M, v).get(0, 0), K.one())})
+print(raised(lambda: el.solve_in_image(SparseMatrix(1, 1, K, {(0, 0): 1}),
+                                       el.Vector(1, {0: 1}))))
+el.SparseMatrix.mul_vector = mul_vector
+
 import graycohom.defcomplex as dc
 sel = dc.ComplexSelection("unit")
 D1 = dc.total_differential(G, sel, 1)
@@ -676,6 +684,7 @@ def test_consistency_checks_survive_python_O():
     assert out == ["4 enumerated cocycles, expected 2",
                    "1 classes of 2^1 do not cover 4 cocycles",
                    "2 representatives for dimension 4",
+                   "the solution misses b in row 0",
                    "differential does not square to zero at degree 1"]
 
 

@@ -112,6 +112,26 @@ def test_solve_in_image_solves_and_certifies(field_, rows, data):
         assert rank(aug) == rank(M) + 1
 
 
+def test_solve_in_image_raises_when_its_solution_misses_b(monkeypatch):
+    """A solution read off the RREF of [M | b] solves M x = b, so a product
+    that misses b is a fault: it raises and names the row, rather than
+    passing for "b is not in the image"."""
+    K = GF(5)
+    M = SparseMatrix(2, 2, K, {(0, 0): 1, (0, 1): 2})
+    mul_vector = SparseMatrix.mul_vector
+
+    def corrupt(self, v):
+        out = mul_vector(self, v)
+        return Vector(out.length,
+                      {**out.entries, 0: K.add(out.get(0, 0), 1)})
+
+    monkeypatch.setattr(SparseMatrix, "mul_vector", corrupt)
+    with pytest.raises(AssertionError, match="in row 0$"):
+        solve_in_image(M, Vector(2, {0: 3}))
+    # a b outside the image is still answered by the RREF alone
+    assert solve_in_image(M, Vector(2, {1: 1})) is None
+
+
 def scalars(field_):
     """Field elements; over Q also non-integers (int when integral, as the
     field carries them)."""

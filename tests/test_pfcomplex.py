@@ -5,6 +5,7 @@ degree-2 classification bundle, and naturality on Model B checked against
 
 import pytest
 
+from conftest import dense_rank
 from graycohom.exactlinalg import (
     GF,
     Vector,
@@ -217,21 +218,7 @@ def FB(model_b):
 
 
 def _dense_rank(rows):
-    """Rank over F_5 of a list of dense rows, by Gauss-Jordan elimination."""
-    rows = [[x % P for x in r] for r in rows]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], P - 2, P)
-        rows[rank] = [x * inv % P for x in rows[rank]]
-        for i, r in enumerate(rows):
-            if i != rank and r[c]:
-                rows[i] = [(x - r[c] * y) % P for x, y in zip(r, rows[rank])]
-        rank += 1
-    return rank
+    return dense_rank(rows, P)
 
 
 def _mat(x, slot):
