@@ -40,7 +40,7 @@ from .exactlinalg import (
 )
 from .gray import GraySemigroup, per_structure
 from .pfcomplex import composable_tuples, nonidentity_basis
-from .twocat import TwoMorphism, ValidationReport
+from .twocat import Frozen, TwoMorphism, ValidationReport
 
 DEFAULT_ENUM_BOUND = 2 ** 20
 # the cross-class check tries every witness when there are at most this many
@@ -104,17 +104,39 @@ def zero_witness() -> EquivalenceWitness:
 # ----- arithmetic over K[eps]/(eps^2) -----------------------------------
 
 
-@dataclass(frozen=True)
-class ECell:
+class ECell(Frozen):
     """2-morphism over K[eps]/(eps^2) as a pair lead + eps * first; both
-    components share the same endpoints."""
+    components share the same endpoints.  A slotted immutable value like
+    TwoMorphism, with the equality and hash of the pair (lead, eps)."""
 
-    lead: TwoMorphism
-    eps: TwoMorphism
+    __slots__ = ("lead", "eps")
+    _fields = ("lead", "eps")
+
+    def __new__(cls, lead, eps):
+        self = _new(cls)
+        _set_lead(self, lead)
+        _set_eps(self, eps)
+        return self
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not ECell:
+            return NotImplemented
+        return self.lead == other.lead and self.eps == other.eps
+
+    def __hash__(self):
+        return hash((self.lead, self.eps))
+
+
+_new = object.__new__
+_set_lead, _set_eps = ECell.lead.__set__, ECell.eps.__set__
 
 
 class _Eps:
-    """Composition algebra of eps-pairs over a fixed Gray semigroup.
+    """Composition algebra of eps-pairs over a fixed Gray semigroup; one
+    per structure, made through _eps_algebra and shared by the
+    structural system and every ExtendedStructure.
 
     vcomp, hcomp and tensor2 go through one _product.  The lead of a
     product is the undeformed product of the two leads: it is made once
@@ -124,18 +146,35 @@ class _Eps:
     two bilinear products; one whose eps factor is zero is left out,
     which is exact, so with both eps parts zero the memo's product is
     returned as it is.  Every product asked for is still made, with both
-    components.  Zero eps parts are shared, one per endpoint pair."""
+    components.  Zero eps parts are shared, one per endpoint pair.
+
+    Leads are interned: one canonical object per value, seeded with the
+    identity 2-cell of every 1-cell and the tensorator table (kept as
+    tensorators, with canonical values).  Every lead that lift, invert
+    or a memo miss stores is the canonical one, so a lead read back from
+    the algebra hits its memo entry by identity.  A lead is compared by
+    value only and never written out, so an int and an equal integral
+    Fraction coefficient share one object."""
 
     def __init__(self, G: GraySemigroup):
         self.G = G
-        self.C = G.base
+        self.C = C = G.base
+        self._leads: dict = {}
         self._inv: dict = {}
         self._zeros: dict = {}
         self._ids: dict = {}
         # op name -> (op, {(a.lead, b.lead): ECell(lead, zero eps)})
-        self._ops = {"vcomp": (self.C.vcomp, {}),
-                     "hcomp": (self.C.hcomp, {}),
+        self._ops = {"vcomp": (C.vcomp, {}),
+                     "hcomp": (C.hcomp, {}),
                      "tensor2": (G.tensor2, {})}
+        for f in C.cell_src:
+            self.canonical(C.id2(f))
+        self.tensorators = {key: self.canonical(t)
+                            for key, t in G.tensorator_table.items()}
+
+    def canonical(self, t: TwoMorphism) -> TwoMorphism:
+        """The one object of t's value that this algebra uses as a lead."""
+        return self._leads.setdefault(t, t)
 
     def zero(self, src, tgt) -> TwoMorphism:
         z = self._zeros.get((src, tgt))
@@ -144,6 +183,7 @@ class _Eps:
         return z
 
     def lift(self, t: TwoMorphism) -> ECell:
+        t = self.canonical(t)
         return ECell(t, self.zero(t.src, t.tgt))
 
     def id(self, cell) -> ECell:
@@ -156,10 +196,11 @@ class _Eps:
         """op(a, b) for the bilinear op named: op of the leads, from the
         memo, plus eps times op(a.eps, b.lead) + op(a.lead, b.eps)."""
         fn, memo = self._ops[op]
-        key = (a.lead, b.lead)
-        lifted = memo.get(key)
+        lifted = memo.get((a.lead, b.lead))
         if lifted is None:
-            lifted = memo[key] = self.lift(fn(a.lead, b.lead))
+            canonical = self.canonical
+            lifted = memo[(canonical(a.lead), canonical(b.lead))] = \
+                self.lift(fn(a.lead, b.lead))
         is_zero2 = self.C.is_zero2
         if is_zero2(a.eps):
             if is_zero2(b.eps):
@@ -191,7 +232,8 @@ class _Eps:
         C = self.C
         l = self._inv.get(a.lead)
         if l is None:
-            l = self._inv[a.lead] = C.invert2(a.lead)
+            l = self._inv[self.canonical(a.lead)] = \
+                self.canonical(C.invert2(a.lead))
         if C.is_zero2(a.eps):
             return ECell(l, self.zero(l.src, l.tgt))
         return ECell(l, C.neg2(C.vcomp(C.vcomp(l, a.eps), l)))
@@ -208,6 +250,11 @@ class _Eps:
 
     def eq(self, a: ECell, b: ECell) -> bool:
         return self.C.eq2(a.lead, b.lead) and self.C.eq2(a.eps, b.eps)
+
+
+@per_structure
+def _eps_algebra(G: GraySemigroup) -> _Eps:
+    return _Eps(G)
 
 
 # ----- the five data families -------------------------------------------
@@ -293,8 +340,12 @@ class _DeformedCells(_DataContext):
 
     roles = {"d": (FirstOrderDeformation, ("_tens", "_ass", "_pent"))}
 
+    def __init__(self, G: GraySemigroup, *data, reads: set | None = None):
+        super().__init__(G, *data, reads=reads)
+        self._tensorators = _eps_algebra(G).tensorators
+
     def tens(self, pp, p) -> ECell:
-        lead = self.G.tensorator(pp[0], pp[1], p[0], p[1])
+        lead = self._tensorators[(pp[0], pp[1], p[0], p[1])]
         return ECell(lead, self._tens((pp, p)))
 
     def ass3(self, f, g, h) -> ECell:
@@ -483,7 +534,7 @@ class _StructuralSystem(_Equations):
     context = _DeformedCells
 
     def __init__(self, G: GraySemigroup):
-        self.E = _Eps(G)
+        self.E = _eps_algebra(G)
         super().__init__(G)
 
     def _build(self):
@@ -1314,7 +1365,7 @@ class ExtendedStructure:
     def __init__(self, G: GraySemigroup, deformation: FirstOrderDeformation):
         self.G = G
         self.deformation = deformation
-        self._E = _Eps(G)
+        self._E = _eps_algebra(G)
         self._cells = _DeformedCells(G, deformation)
 
     def reduce(self) -> GraySemigroup:

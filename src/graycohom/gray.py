@@ -21,7 +21,7 @@ Every table derived from a structure (tensor powers here, cochain spaces
 and differentials in defcomplex, equation systems in deformations) is
 kept in the structure's one dict ``memo``.  A function that derives such
 a table is decorated with ``per_structure``, which keys its value by the
-function and its arguments with defaults applied.
+function and its positional arguments.
 """
 
 from __future__ import annotations
@@ -112,21 +112,30 @@ class GraySemigroup:
 
 # ----- tables derived from a structure ----------------------------------
 
+_MISSING = object()
+
 
 def per_structure(fn):
     """Memoise fn(G, ...) in G.memo.  The key is fn with its arguments
-    after G, defaults applied, so a call that spells out a default shares
-    the value of one that leaves it out."""
+    after G.  A call with keyword arguments is first bound to positional
+    ones, so pent_space(G, 2) and pent_space(G, degree=2) share one value;
+    a positional call is one lookup.  fn may have no default parameter,
+    as a call that left it out would key apart from one that spells it
+    out."""
     sig = inspect.signature(fn)
+    if any(p.default is not p.empty for p in sig.parameters.values()):
+        raise TypeError(f"per_structure function {fn.__name__} has a "
+                        f"default parameter")
 
     @functools.wraps(fn)
     def memoised(G, *args, **kwargs):
-        bound = sig.bind(G, *args, **kwargs)
-        bound.apply_defaults()
-        key = (fn, bound.args[1:])
-        if key not in G.memo:
-            G.memo[key] = fn(*bound.args)
-        return G.memo[key]
+        if kwargs:
+            args = sig.bind(G, *args, **kwargs).args[1:]
+        key = (fn, args)
+        value = G.memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = G.memo[key] = fn(G, *args)
+        return value
 
     return memoised
 

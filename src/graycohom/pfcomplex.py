@@ -256,9 +256,11 @@ class Assembler:
     with that key.  make must be a function of the key alone.  A builder
     that puts a 2-cell into its keys puts in a number or name given to
     each distinct value (src, tgt, coefficients), so equal keys give
-    equal operators; delta_pf_matrix
-    and delta_v_matrix number their tuples' 1-cells too, so the per-term
-    lookups hash tuples of small ints.
+    equal operators; delta_pf_matrix and delta_v_matrix number their
+    tuples' 1-cells too, so the per-term lookups hash tuples of small
+    ints.  A 2-cell keeps its hash, but hashing it is still a Python
+    call, and keying delta_pf_matrix on its Fhat cells instead of their
+    numbers measured slower.
 
     An operator is a sequence of entries (k, b, v): v is coefficient k of
     the image of input basis element b, and lands at row row0 + k and

@@ -53,13 +53,68 @@ class ValidationReport:
         )
 
 
-@dataclass(frozen=True)
-class TwoMorphism:
-    """2-morphism src => tgt as a coefficient vector over the hom basis."""
+class Frozen:
+    """Base of the slotted immutable values TwoMorphism and ECell: a
+    subclass names its fields in _fields and sets its slots in __new__
+    through their member descriptors.  Pickling, copying and repr go by
+    the fields, as for a frozen dataclass."""
 
-    src: object
-    tgt: object
-    coeffs: tuple
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            f"{n}={getattr(self, n)!r}" for n in self._fields))
+
+
+class TwoMorphism(Frozen):
+    """2-morphism src => tgt as a coefficient vector over the hom basis.
+
+    An immutable value with the equality and hash of a frozen dataclass
+    of the fields (src, tgt, coeffs), in slots: the hash is computed on
+    the first __hash__ and kept, and equality tests identity first, so a
+    dict lookup by a cell that is the stored key is one pointer test."""
+
+    __slots__ = ("src", "tgt", "coeffs", "_hash")
+    _fields = ("src", "tgt", "coeffs")
+
+    def __new__(cls, src, tgt, coeffs):
+        self = _new(cls)
+        _set_src(self, src)
+        _set_tgt(self, tgt)
+        _set_coeffs(self, coeffs)
+        _set_hash(self, None)
+        return self
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not TwoMorphism:
+            return NotImplemented
+        return (self.coeffs == other.coeffs and self.src == other.src
+                and self.tgt == other.tgt)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.src, self.tgt, self.coeffs))
+            _set_hash(self, h)
+        return h
+
+
+_new = object.__new__
+_set_src, _set_tgt, _set_coeffs, _set_hash = (
+    TwoMorphism.src.__set__, TwoMorphism.tgt.__set__,
+    TwoMorphism.coeffs.__set__, TwoMorphism._hash.__set__)
 
 
 class TwoCategory:

@@ -581,6 +581,49 @@ def test_eps_products_skip_only_zero_terms(field_):
     assert checked and mismatched
 
 
+@pytest.mark.parametrize("name", ["z2-sign", "model-a"])
+def test_eps_leads_are_canonical_and_shared(name):
+    """One eps algebra per structure, shared by the structural system and
+    every ExtendedStructure.  After check_structural of random data,
+    every lead in a key or value of its lead memos is the canonical
+    object of its value, and products of leads that are equal to those
+    but distinct objects return the identical lead and grow no memo."""
+    G = _structure(name, 2)
+    E = dm._structural_system(G).E
+    assert dm.ExtendedStructure(G, zero_deformation())._E is E
+    rng = random.Random(5)
+    for _ in range(3):
+        check_structural(G, _random_data(G, FirstOrderDeformation, rng))
+    memos = {op: memo for op, (_fn, memo) in E._ops.items()}
+    leads = [lead for memo in memos.values()
+             for (a, b), lifted in memo.items()
+             for lead in (a, b, lifted.lead)]
+    leads += [lead for pair in E._inv.items() for lead in pair]
+    assert all(memos.values()) and E._inv
+    for lead in leads:
+        assert E._leads.get(lead) is lead
+
+    def distinct(t):
+        return TwoMorphism(t.src, t.tgt, tuple(list(t.coeffs)))
+
+    for op, memo in memos.items():
+        size = len(memo)
+        for (a, b), lifted in list(memo.items())[:25]:
+            y = dm.ECell(distinct(b), E.zero(b.src, b.tgt))
+            for eps in (E.zero(a.src, a.tgt), a):
+                x = dm.ECell(distinct(a), eps)
+                assert x.lead is not a and x.lead == a
+                assert getattr(E, op)(x, y).lead is lifted.lead
+        assert len(memo) == size
+
+    # a memo miss on copies of seeded leads keys the seeded objects
+    E = dm._Eps(G)
+    a, b = (G.base.id2(f) for f in sorted(G.base.cell_src)[-2:])
+    E.tensor2(*(dm.ECell(distinct(t), E.zero(t.src, t.tgt)) for t in (a, b)))
+    [(ka, kb)] = E._ops["tensor2"][1]
+    assert ka is a and kb is b
+
+
 def test_brute_force_keeps_its_literal_checks(g_fiber2, monkeypatch):
     """One classification with two classes, so the cross-class check
     runs, makes every literal check it made when that check called

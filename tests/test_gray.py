@@ -1,6 +1,7 @@
 """Gray-semigroup tables: validator coverage, cubical vanishing, iterated
 tensor powers and the canonical padding machinery."""
 
+import inspect
 import random
 
 import pytest
@@ -9,7 +10,9 @@ from conftest import make_model
 from graycohom import cli, gray, schema as sc
 from graycohom.defcomplex import (
     ComplexSelection,
+    bicomplex_space,
     cohomology,
+    pent_space,
     total_differential,
     total_space,
 )
@@ -22,6 +25,7 @@ from graycohom.gray import (
     expr_cell,
     merge_to_single,
     pad,
+    per_structure,
     tensor_power,
     validate_gray,
 )
@@ -292,3 +296,25 @@ def test_pad_recipe_independence_small(g_fiber2):
         base = pad(F, letters, chain)
         again = pad(F, letters, chain, rng=random.Random(rng.randrange(10 ** 6)))
         assert C.eq2(base, again)
+
+
+def test_per_structure_keys_positional_and_keyword_calls_alike(
+        g_fiber2, monkeypatch):
+    """A positional call to a per_structure function is one memo lookup,
+    without binding its signature; a keyword call binds to the same key,
+    so both share one value.  A function with a default is refused."""
+    G = g_fiber2
+
+    def no_bind(*args, **kwargs):
+        raise AssertionError("a positional call bound its signature")
+
+    positional = pent_space(G, 2), bicomplex_space(G, 1, 1)
+    with monkeypatch.context() as m:
+        m.setattr(inspect.Signature, "bind", no_bind)
+        assert pent_space(G, 2) is positional[0]
+        assert bicomplex_space(G, 1, 1) is positional[1]
+    assert pent_space(G, degree=2) is positional[0]
+    assert bicomplex_space(G, 1, n=1) is positional[1]
+    assert bicomplex_space(G, m=1, n=1) is positional[1]
+    with pytest.raises(TypeError, match="default"):
+        per_structure(lambda G, n=1: n)

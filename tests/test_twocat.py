@@ -2,9 +2,11 @@
 and pseudofunctors, exercised on a delooped group-algebra category whose
 hom spaces are genuinely multi-dimensional."""
 
+import copy
 import functools
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -15,6 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graycohom
+from graycohom import schema
+from graycohom.deformations import ECell
 from conftest import make_model, make_model_a, make_model_b
 from graycohom.exactlinalg import GF, QQ
 from graycohom.examples import (
@@ -383,3 +387,45 @@ def test_mismatched_products_raise_when_the_plan_exists(model_b):
             with pytest.raises(ValueError,
                                match="^horizontal composition mismatch$"):
                 C.hcomp(fg, fg)
+
+
+def test_two_cells_are_immutable_values():
+    """TwoMorphism and ECell are slotted immutable values with the value
+    semantics of a frozen dataclass of their fields: equal iff the
+    fields are, the hash of the field tuple, never equal to that tuple,
+    and repr, pickle and copies as before.  A lead with int coefficients
+    equals one with equal integral Fraction coefficients, and schema
+    still writes a Fraction(1) as "1/1" and an int 1 as 1."""
+    t = TwoMorphism("f", "g", (1, 0, 2))
+    ints, fracs = TwoMorphism("f", "f", (1, 0)), \
+        TwoMorphism("f", "f", (Fraction(1), Fraction(0)))
+    e = ECell(t, TwoMorphism("f", "g", (0, 1, 0)))
+    same_e = ECell(TwoMorphism("f", "g", (1, 0, 2)),
+                   TwoMorphism("f", "g", (0, 1, 0)))
+    assert t == TwoMorphism("f", "g", (1, 0, 2)) and e == same_e
+    for other in (TwoMorphism("f2", "g", (1, 0, 2)),
+                  TwoMorphism("f", "g2", (1, 0, 2)),
+                  TwoMorphism("f", "g", (1, 0, 1))):
+        assert t != other and not t == other
+        assert e != ECell(other, e.eps) and e != ECell(t, other)
+    assert hash(t) == hash(("f", "g", (1, 0, 2)))
+    assert hash(e) == hash((e.lead, e.eps)) == hash(same_e)
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert ECell(ints, ints) == ECell(fracs, fracs)
+    assert t != ("f", "g", (1, 0, 2)) and e != (e.lead, e.eps)
+    for cell, names in ((t, ("src", "tgt", "coeffs")), (e, ("lead", "eps"))):
+        for name in names + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(cell, name, None)
+            with pytest.raises(AttributeError):
+                delattr(cell, name)
+        for clone in (pickle.loads(pickle.dumps(cell)), copy.copy(cell),
+                      copy.deepcopy(cell)):
+            assert type(clone) is type(cell)
+            assert clone == cell and hash(clone) == hash(cell)
+    assert repr(t) == "TwoMorphism(src='f', tgt='g', coeffs=(1, 0, 2))"
+    assert repr(e) == ("ECell(lead=TwoMorphism(src='f', tgt='g', "
+                       "coeffs=(1, 0, 2)), eps=TwoMorphism(src='f', "
+                       "tgt='g', coeffs=(0, 1, 0)))")
+    assert schema.encode_two_morphism(ints)["coeffs"] == [1, 0]
+    assert schema.encode_two_morphism(fracs)["coeffs"] == ["1/1", "0/1"]
